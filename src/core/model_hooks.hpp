@@ -10,7 +10,7 @@
 //
 // DDPM_MODEL_MUTATION(kind) is the negative-control hook: it seeds known
 // protocol bugs (a dropped credit return, an off-by-one buffer bound, a
-// skipped escape-VC fallback) at the exact points in the wormhole engines
+// skipped escape-VC fallback) at the exact points in the wormhole engine
 // where the real bug class would live. In ordinary builds the macro is the
 // constant `false`, so the hot path compiles byte-identically to a tree
 // without the hook (the wormhole_steps floor in BENCH_kernel.json pins

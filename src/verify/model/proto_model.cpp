@@ -295,7 +295,7 @@ void ProtoModel::step(ModelState& s) const {
         const ModelFlit flit = s.queue[gi].front();
         s.queue[gi].erase(s.queue[gi].begin());
         // The off-by-one mutation clamps instead of underflowing, exactly
-        // as the hooked real engines do.
+        // as the hooked real engine does.
         if (s.credits[oi] > 0) --s.credits[oi];
         restore_credit(s, node, int(unit) / vcs_, int(unit) % vcs_);
         const std::size_t link = std::size_t(node) * std::size_t(ports_) +

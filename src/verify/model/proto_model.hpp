@@ -1,9 +1,9 @@
 // Abstract stepping model of the wormhole VC/credit protocol.
 //
-// ProtoModel is the bounded model checker's transition system: a pure-state
-// re-statement of the WormholeNetwork reference engine's cycle semantics
-// (src/wormhole/wormhole.cpp, "Reference engine") over a small topology,
-// router, VC count, and credit depth. Nothing here simulates performance —
+// ProtoModel is the bounded model checker's transition system and the
+// reference for the WormholeNetwork cycle semantics (src/wormhole): a
+// pure-state, engine-free re-statement over a small topology, router, VC
+// count, and credit depth. Nothing here simulates performance —
 // a ModelState is exactly the protocol-relevant projection (buffer
 // contents, VC allocations, credit counters, round-robin pointers), and
 // step()/inject() are the only transitions. The fidelity contract is
@@ -15,7 +15,7 @@
 // checking").
 //
 // The ModelMutation knob mirrors the DDPM_MODEL_MUTATION hooks compiled
-// into the real engines (src/core/model_hooks.hpp): the same three seeded
+// into the real engine (src/core/model_hooks.hpp): the same three seeded
 // bugs exist at the same protocol points, so a conviction found here has a
 // concrete counterpart to reproduce on replay.
 #pragma once
@@ -60,7 +60,7 @@ struct ModelOptions {
 };
 
 /// One buffered flit. `dest` stands in for the packet (all protocol
-/// decisions the engines make per flit depend only on the destination and
+/// decisions the engine makes per flit depend only on the destination and
 /// the head/tail flags); `cls` is the torus dateline escape class, updated
 /// on head flits at allocation exactly as the real engine does.
 struct ModelFlit {
@@ -124,7 +124,7 @@ class ProtoModel {
   /// Queues one packet (flits_per_packet flits) at src's injection unit.
   void inject(ModelState& s, int src, int dst) const;
 
-  /// Advances one full cycle with the reference engine's exact semantics:
+  /// Advances one full cycle with the engine's exact semantics:
   /// ascending node sweep, VC-allocation/ejection pass, one-flit-per-
   /// output-port switch traversal with intra-sweep credit return, then the
   /// staged arrivals land.

@@ -30,7 +30,7 @@ int mutation_from_name(const std::string& name) {
 
 }  // namespace
 
-ReplayResult replay_witness(const ModelWitness& w, bool use_soa_engine) {
+ReplayResult replay_witness(const ModelWitness& w) {
   ReplayResult result;
   const int mutation = mutation_from_name(w.mutation);
   if (mutation < 0) {
@@ -60,7 +60,6 @@ ReplayResult replay_witness(const ModelWitness& w, bool use_soa_engine) {
   config.adaptive_vcs = w.adaptive_vcs;
   config.buffer_flits = w.buffer_flits;
   config.disable_escape = w.disable_escape;
-  config.use_soa_engine = use_soa_engine;
   wormhole::WormholeNetwork net(*topo, *router, nullptr, config);
 
   // A packet of exactly flits_per_packet flits: wire bytes are the 20-byte

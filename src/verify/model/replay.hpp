@@ -28,8 +28,7 @@ struct ReplayResult {
 };
 
 /// Replays `w` on a fresh WormholeNetwork built from the witness's own
-/// configuration. `use_soa_engine` selects which of the two byte-identical
-/// engines runs (both carry the mutation hooks).
-ReplayResult replay_witness(const ModelWitness& w, bool use_soa_engine = true);
+/// configuration.
+ReplayResult replay_witness(const ModelWitness& w);
 
 }  // namespace ddpm::verify::model

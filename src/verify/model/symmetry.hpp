@@ -8,8 +8,8 @@
 // link tables (neighbor/reverse/wrap), maps every escape next-hop
 // consistently, preserves the router's candidate sets, and fixes the
 // injection-pair alphabet. What the filter does not (cannot cheaply) mod
-// out is intra-cycle ordering: the engines sweep nodes and candidate ports
-// in index order, so tie-breaking under a surviving permutation may still
+// out is intra-cycle ordering: the model and the engine sweep nodes and
+// candidate ports in index order, so tie-breaking under a surviving permutation may still
 // diverge. The quotient is therefore a heuristic: proofs run on the full
 // space by default (ModelOptions::use_symmetry = false), the symmetry
 // parity test pins verdict agreement empirically, and any conviction found

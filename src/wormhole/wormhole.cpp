@@ -1,8 +1,9 @@
 #include "wormhole/wormhole.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/check.hpp"
 #include "routing/deadlock.hpp"
@@ -32,65 +33,53 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
   num_nodes_ = int(topo.num_nodes());
   num_ports_ = topo.num_ports();
   const int V = total_vcs();
+  if (!config_.use_soa_engine) {
+    throw std::invalid_argument(
+        "WormholeConfig::use_soa_engine = false is not supported: the "
+        "structure-of-arrays engine is the only wormhole engine");
+  }
+  units_ = (num_ports_ + 1) * V;
+  switch_units_ = num_ports_ * V;
+  if (units_ > 64) {
+    throw std::invalid_argument(
+        "wormhole network on " + topo.spec() + " needs " +
+        std::to_string(units_) + " input units per node ((" +
+        std::to_string(num_ports_) + " ports + 1) x " + std::to_string(V) +
+        " VCs); the per-node unit masks hold at most 64");
+  }
   DDPM_CHECK(config_.buffer_flits > 0 && config_.buffer_flits <= 0x7fff,
              "buffer_flits out of range for credit counters");
-  // At most one flit per output port per node lands per cycle.
-  staged_.reserve(std::size_t(num_nodes_) * std::size_t(num_ports_));
-  unit_port_.resize(std::size_t(num_ports_ + 1) * std::size_t(V));
-  unit_vc_.resize(std::size_t(num_ports_ + 1) * std::size_t(V));
-  for (int unit = 0; unit < (num_ports_ + 1) * V; ++unit) {
-    unit_port_[std::size_t(unit)] = unit / V;
-    unit_vc_[std::size_t(unit)] = unit % V;
-  }
   build_route_tables();
-  if (config_.use_soa_engine && (num_ports_ + 1) * V <= 64) {
-    build_soa();
-  } else {
-    nodes_.resize(std::size_t(num_nodes_));
-    for (NodeState& node : nodes_) {
-      node.in.resize(std::size_t(num_ports_ + 1) * std::size_t(V));
-      node.out.resize(std::size_t(num_ports_) * std::size_t(V));
-      for (OutputVc& out : node.out) out.credits = config_.buffer_flits;
-      node.rr.assign(std::size_t(num_ports_), 0);
-      // Switch-port buffers are credit-bounded at buffer_flits: reserving
-      // that depth up front makes steady-state push/pop allocation-free
-      // (tests/test_wormhole_steady_alloc.cpp proves it at runtime, the
-      // hot-no-alloc rule statically). The injection units (ports >= P*V)
-      // stay unreserved — they are unbounded and grow only in inject(),
-      // which is off the hot path.
-      for (std::size_t unit = 0;
-           unit < std::size_t(num_ports_) * std::size_t(V); ++unit) {
-        node.in[unit].buffer.reserve(std::size_t(config_.buffer_flits));
-      }
-    }
-    node_flits_.assign(std::size_t(num_nodes_), 0);
-  }
+  build_units();
 }
 
-void WormholeNetwork::build_soa() {
+void WormholeNetwork::build_units() {
   const int V = total_vcs();
-  soa_units_ = (num_ports_ + 1) * V;
-  soa_switch_units_ = num_ports_ * V;
   const std::size_t N = std::size_t(num_nodes_);
-  const std::size_t U = std::size_t(soa_units_);
-  // The slab preallocates every switch unit at full credit depth — the
-  // same total footprint the per-unit RingBuffer reservations had, but
-  // contiguous, so steady-state push/pop touches no queue metadata beyond
-  // the unit's own control record.
-  fbuf_.assign(N * std::size_t(soa_switch_units_) *
+  const std::size_t U = std::size_t(units_);
+  unit_port_.resize(U);
+  for (int unit = 0; unit < units_; ++unit) {
+    unit_port_[std::size_t(unit)] = unit / V;
+  }
+  // The slab preallocates every switch unit at full credit depth, so
+  // steady-state push/pop allocates nothing and touches no queue metadata
+  // beyond the unit's own control record (tests/test_wormhole_steady_alloc
+  // proves it at runtime, the hot-no-alloc rule statically). Injection
+  // queues are unbounded and grow only in inject(), off the hot path.
+  fbuf_.assign(N * std::size_t(switch_units_) *
                    std::size_t(config_.buffer_flits),
                Flit{});
-  inj_buf_.clear();
   inj_buf_.resize(N * std::size_t(V));
-  soa_in_.assign(N * U, UnitCtl{});
-  soa_out_.assign(N * std::size_t(num_ports_) * std::size_t(V), OutCtl{});
-  for (OutCtl& out : soa_out_) out.credits = std::int16_t(config_.buffer_flits);
-  soa_rr_.assign(N * std::size_t(num_ports_), 0);
+  in_.assign(N * U, UnitCtl{});
+  out_.assign(N * std::size_t(num_ports_) * std::size_t(V), OutCtl{});
+  for (OutCtl& out : out_) out.credits = std::int16_t(config_.buffer_flits);
+  rr_.assign(N * std::size_t(num_ports_), 0);
   occ_.assign(N, 0);
   req_.assign(N * std::size_t(num_ports_), 0);
   node_mask_.assign((N + 63) / 64, 0);
   group_mask_.assign((node_mask_.size() + 63) / 64, 0);
-  soa_staged_.reserve(N * std::size_t(num_ports_));
+  // At most one flit per output port per node lands per cycle.
+  arrivals_.reserve(N * std::size_t(num_ports_));
   // Static link-derived tables: the hot loop's per-pop credit target and
   // per-forward landing target collapse to one table load each.
   credit_slot_.assign(N * U, -1);
@@ -104,7 +93,7 @@ void WormholeNetwork::build_soa() {
       const Port up_port = reverse_port_[link];
       for (int vc = 0; vc < V; ++vc) {
         credit_slot_[std::size_t(n) * U + std::size_t(p * V + vc)] =
-            std::int32_t(soa_out_index(up, up_port, vc));
+            std::int32_t(out_index(up, up_port, vc));
       }
       link_dst_[link] = LinkDst{up, std::uint16_t(up_port * V)};
     }
@@ -193,28 +182,16 @@ void WormholeNetwork::inject(pkt::Packet&& packet, NodeId src) {
     // release in the hot loop must never allocate.
     pkt_free_.reserve(pkt_pool_.capacity());
   }
-  if (soa_units_ != 0) {
-    const int unit = soa_switch_units_;  // injection port, VC 0
-    core::RingBuffer<Flit>& buf = inj_queue(src, unit);
-    for (std::uint32_t i = 0; i < flits; ++i) {
-      Flit flit;
-      flit.head = (i == 0);
-      flit.tail = (i + 1 == flits);
-      flit.pkt = id;
-      buf.push_back(std::move(flit));
-    }
-    soa_note_push(src, unit);
-  } else {
-    InputVc& vc = input_vc(src, injection_port(), 0);
-    for (std::uint32_t i = 0; i < flits; ++i) {
-      Flit flit;
-      flit.head = (i == 0);
-      flit.tail = (i + 1 == flits);
-      flit.pkt = id;
-      vc.buffer.push_back(std::move(flit));
-    }
-    node_flits_[src] += flits;
+  const int unit = switch_units_;  // injection port, VC 0
+  core::RingBuffer<Flit>& buf = inj_queue(src, unit);
+  for (std::uint32_t i = 0; i < flits; ++i) {
+    Flit flit;
+    flit.head = (i == 0);
+    flit.tail = (i + 1 == flits);
+    flit.pkt = id;
+    buf.push_back(std::move(flit));
   }
+  note_push(src, unit);
   flits_in_flight_ += flits;
 }
 
@@ -234,29 +211,17 @@ ProtocolSnapshot WormholeNetwork::snapshot_protocol() const {
   snap.allocated.assign(std::size_t(num_nodes_) * out_units, 0);
   for (NodeId n = 0; n < NodeId(num_nodes_); ++n) {
     for (std::size_t u = 0; u < in_units; ++u) {
-      const std::size_t g = std::size_t(n) * in_units + u;
-      if (soa_units_ != 0) {
-        snap.occupancy[g] =
-            int(u) < soa_switch_units_
-                ? soa_in_[std::size_t(n) * std::size_t(soa_units_) + u].qcount
-                : std::uint32_t(
-                      inj_buf_[std::size_t(n) * std::size_t(V) +
-                               (u - std::size_t(soa_switch_units_))]
-                          .size());
-      } else {
-        snap.occupancy[g] = std::uint32_t(nodes_[n].in[u].buffer.size());
-      }
+      snap.occupancy[std::size_t(n) * in_units + u] =
+          int(u) < switch_units_
+              ? in_[std::size_t(n) * in_units + u].qcount
+              : std::uint32_t(inj_buf_[std::size_t(n) * std::size_t(V) +
+                                       (u - std::size_t(switch_units_))]
+                                  .size());
     }
-    for (std::size_t u = 0; u < out_units; ++u) {
-      const std::size_t g = std::size_t(n) * out_units + u;
-      if (soa_units_ != 0) {
-        snap.credits[g] = soa_out_[g].credits;
-        snap.allocated[g] = soa_out_[g].allocated;
-      } else {
-        snap.credits[g] = nodes_[n].out[u].credits;
-        snap.allocated[g] = nodes_[n].out[u].allocated ? 1 : 0;
-      }
-    }
+  }
+  for (std::size_t g = 0; g < out_.size(); ++g) {
+    snap.credits[g] = out_[g].credits;
+    snap.allocated[g] = out_[g].allocated;
   }
   return snap;
 }
@@ -271,7 +236,7 @@ bool WormholeNetwork::check_protocol_invariants(std::string* why) const {
     return false;
   };
   // Flit accounting: every in-flight flit is buffered somewhere (between
-  // cycles the staging vectors are empty), and nothing is double-counted.
+  // cycles arrivals_ is empty), and nothing is double-counted.
   std::uint64_t buffered = 0;
   for (const std::uint32_t occ : snap.occupancy) buffered += occ;
   if (buffered != snap.flits_in_flight) {
@@ -322,42 +287,50 @@ bool WormholeNetwork::check_protocol_invariants(std::string* why) const {
 
 std::uint64_t WormholeNetwork::injection_backlog() const {
   std::uint64_t total = 0;
-  const int V = total_vcs();
-  if (soa_units_ != 0) {
-    for (const core::RingBuffer<Flit>& q : inj_buf_) total += q.size();
-    return total;
-  }
-  for (const NodeState& node : nodes_) {
-    for (int vc = 0; vc < V; ++vc) {
-      total += node.in[std::size_t(num_ports_) * std::size_t(V) +
-                       std::size_t(vc)]
-                   .buffer.size();
-    }
-  }
+  for (const core::RingBuffer<Flit>& q : inj_buf_) total += q.size();
   return total;
 }
 
 // --------------------------------------------------------------------------
-// Reference engine (object graph). Kept verbatim as the semantic oracle:
-// the SoA engine below must reproduce its delivery evidence and telemetry
-// byte for byte (tests/test_wormhole.cpp pins it).
+// Cycle engine, driven by bitmasks: the allocation pass walks the occupancy
+// mask (one ctz per occupied unit), traversal arbitration walks req & occ
+// rotated to the round-robin pointer, and the node loop walks the two-level
+// active bitmap — all in ascending order, which fixes when probes fire and
+// in which order credits move and VCs are claimed.
 // --------------------------------------------------------------------------
 
-DDPM_HOT void WormholeNetwork::return_credit(NodeId node, int in_port,
-                                             int vc) {
-  if (DDPM_MODEL_MUTATION(kDropCreditReturn)) return;  // seeded bug
-  if (in_port == injection_port()) return;  // injection queue is unbounded
-  const std::size_t link = std::size_t(node) * std::size_t(num_ports_) +
-                           std::size_t(in_port);
-  const NodeId upstream = neighbor_[link];
-  const Port up_port = reverse_port_[link];
-  OutputVc& out = output_vc(upstream, up_port, vc);
-  if (out.credits < config_.buffer_flits) ++out.credits;
+DDPM_HOT void WormholeNetwork::eject(NodeId node, int unit) {
+  // Consume every buffered flit of the packet being ejected this cycle
+  // (infinite ejection bandwidth, a standard simulator simplification).
+  UnitCtl& ctl = in_[std::size_t(node) * std::size_t(units_) +
+                     std::size_t(unit)];
+  while (qsize(node, unit, ctl) > 0) {
+    const Flit flit = qfront(node, unit, ctl);
+    qpop(node, unit, ctl);
+    --flits_in_flight_;
+    ++progress_marker_;
+    if (flit.tail) {
+      ctl.active = 0;
+      if (ctl.out_port == -2) {
+        ++dropped_ttl_;
+      } else {
+        pkt_pool_[flit.pkt].delivered_at = cycle_;
+        ++delivered_;
+        probes_.on_delivered();
+        if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
+      }
+      pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
+      ctl.out_port = -1;
+      break;
+    }
+  }
+  if (qsize(node, unit, ctl) == 0) note_empty(node, unit);
 }
 
-DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
-                                        InputVc& vc) {
-  const Flit& head = vc.buffer.front();
+DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
+  UnitCtl& ctl = in_[std::size_t(node) * std::size_t(units_) +
+                     std::size_t(unit)];
+  const Flit& head = qfront(node, unit, ctl);
   pkt::Packet& packet = pkt_pool_[head.pkt];
   const Port arrived_on =
       in_port == injection_port() ? route::kLocalPort : Port(in_port);
@@ -367,9 +340,10 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
   // this cannot trigger; it is the safety net the walker and the
   // store-and-forward switch also have.
   if (packet.header.ttl() == 0) {
-    vc.active = true;
-    vc.out_port = -2;  // discard sink
-    vc.out_vc = -1;
+    ctl.active = 1;
+    ctl.out_port = -2;  // discard sink
+    ctl.out_vc = -1;
+    ctl.out_slot = -1;
     return true;
   }
 
@@ -387,25 +361,26 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
       const Port p = Port(__builtin_ctz(mask));
       mask &= mask - 1;
       for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutputVc& out = output_vc(node, p, v);
-        if (!out.allocated && out.credits > best_credits) {
-          best_credits = out.credits;
+        const OutCtl& out = out_[out_index(node, p, v)];
+        if (out.allocated == 0 && int(out.credits) > best_credits) {
+          best_credits = int(out.credits);
           best_port = p;
           best_vc = v;
         }
       }
     }
   } else {
-    // Cold fallback (tables disabled or over budget): the per-flit virtual
-    // dispatch and candidate-vector allocation this branch performs are
-    // exactly what the tables remove.
+    // Cold fallback (tables disabled or over budget, or a turn-model
+    // router without static candidates): the per-flit virtual dispatch and
+    // candidate-vector allocation this branch performs are exactly what
+    // the tables remove.
     const auto candidates = router_.candidates(  // ddpm-analyze: allow(hot-no-virtual)
         node, packet.dest_node, arrived_on);
     for (Port p : candidates) {
       for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutputVc& out = output_vc(node, p, v);
-        if (!out.allocated && out.credits > best_credits) {
-          best_credits = out.credits;
+        const OutCtl& out = out_[out_index(node, p, v)];
+        if (out.allocated == 0 && int(out.credits) > best_credits) {
+          best_credits = int(out.credits);
           best_port = p;
           best_vc = v;
         }
@@ -449,284 +424,7 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port,
       }
     }
     const int v = int(next_class);
-    const OutputVc& out = output_vc(node, p, v);
-    if (out.allocated || out.credits == 0) {
-      (out.allocated ? probes_.on_alloc_stall() : probes_.on_credit_stall());
-      return false;  // wait
-    }
-    best_port = p;
-    best_vc = v;
-  }
-
-  // Claim the output VC; run TTL + marking once per switch, exactly at the
-  // post-routing point Figure 4 prescribes.
-  output_vc(node, best_port, best_vc).allocated = true;
-  probes_.on_vc_alloc();
-  vc.active = true;
-  vc.out_port = best_port;
-  vc.out_vc = best_vc;
-  const NodeId next = neighbor_[std::size_t(node) * std::size_t(num_ports_) +
-                                std::size_t(best_port)];
-  packet.header.decrement_ttl();
-  // Scheme polymorphism is the experiment's independent variable — the
-  // one virtual call the hot path keeps, by design.
-  if (scheme_ != nullptr) scheme_->on_forward(packet, node, next);  // ddpm-analyze: allow(hot-no-virtual)
-  ++packet.hops;
-  // Path tracing is opt-in (trace seeded non-empty) and bounded by TTL.
-  if (!packet.trace.empty()) packet.trace.push_back(next);  // ddpm-analyze: allow(hot-no-alloc)
-  // Record the downstream escape class on the (future) head flit.
-  vc.buffer.front().escape_class = next_class;
-  return true;
-}
-
-DDPM_HOT void WormholeNetwork::eject(NodeId node, InputVc& vc) {
-  // Consume every buffered flit of the packet being ejected this cycle
-  // (infinite ejection bandwidth, a standard simulator simplification).
-  while (!vc.buffer.empty()) {
-    Flit flit = std::move(vc.buffer.front());
-    vc.buffer.pop_front();
-    --flits_in_flight_;
-    --node_flits_[node];
-    ++progress_marker_;
-    const bool tail = flit.tail;
-    if (tail) {
-      vc.active = false;
-      if (vc.out_port == -2) {
-        ++dropped_ttl_;
-      } else {
-        pkt_pool_[flit.pkt].delivered_at = cycle_;
-        ++delivered_;
-        probes_.on_delivered();
-        if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
-      }
-      pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
-      vc.out_port = -1;
-      return;
-    }
-  }
-}
-
-DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
-  NodeState& state = nodes_[node];
-  const int V = total_vcs();
-  const int in_units = (num_ports_ + 1) * V;
-
-  // VC allocation + ejection/discard for heads at buffer fronts.
-  for (int unit = 0; unit < in_units; ++unit) {
-    InputVc& vc = state.in[std::size_t(unit)];
-    if (vc.buffer.empty()) continue;
-    const int in_port = int(unit_port_[std::size_t(unit)]);
-    const int in_vc = int(unit_vc_[std::size_t(unit)]);
-    if (!vc.active) {
-      const Flit& front = vc.buffer.front();
-      if (!front.head) continue;  // body flits of an ejected/advancing head
-      if (pkt_pool_[front.pkt].dest_node == node) {
-        // Local delivery path: consume and credit.
-        const std::size_t consumed = vc.buffer.size();
-        vc.out_port = -1;
-        vc.active = true;  // occupy until tail passes
-        eject(node, vc);
-        for (std::size_t i = 0; i < consumed - vc.buffer.size(); ++i) {
-          return_credit(node, in_port, in_vc);
-        }
-        continue;
-      }
-      if (!allocate(node, in_port, vc)) continue;
-    }
-    if (vc.active && (vc.out_port == -1 || vc.out_port == -2)) {
-      // Ejection or discard in progress: keep consuming arrivals.
-      const std::size_t before = vc.buffer.size();
-      eject(node, vc);
-      for (std::size_t i = 0; i < before - vc.buffer.size(); ++i) {
-        return_credit(node, in_port, in_vc);
-      }
-    }
-  }
-
-  // Switch traversal: each output port forwards at most one flit.
-  for (Port out_port = 0; out_port < num_ports_; ++out_port) {
-    std::size_t& rr = state.rr[std::size_t(out_port)];
-    std::size_t unit = rr;  // wraps by conditional subtract, never %
-    for (int probe = 0; probe < in_units;
-         ++probe, unit = (unit + 1 == std::size_t(in_units)) ? 0 : unit + 1) {
-      InputVc& vc = state.in[unit];
-      if (!vc.active || vc.out_port != out_port || vc.buffer.empty()) continue;
-      OutputVc& out = output_vc(node, out_port, vc.out_vc);
-      if (out.credits == 0 && !DDPM_MODEL_MUTATION(kBufferOffByOne)) {
-        probes_.on_credit_stall();
-        continue;
-      }
-      probes_.on_flit_forward();
-      probes_.on_buffer_sample(vc.buffer.size());
-      Flit flit = std::move(vc.buffer.front());
-      vc.buffer.pop_front();
-      --node_flits_[node];
-#if defined(DDPM_MODEL_MUTATIONS)
-      // Under the off-by-one mutation the sender "knows" about one slot
-      // that does not exist; clamp so the counter models that belief
-      // rather than underflowing.
-      if (out.credits > 0) --out.credits;
-#else
-      --out.credits;
-#endif
-      const int in_port = int(unit_port_[unit]);
-      const int in_vc = int(unit_vc_[unit]);
-      return_credit(node, in_port, in_vc);
-      const std::size_t link = std::size_t(node) * std::size_t(num_ports_) +
-                               std::size_t(out_port);
-      const NodeId next = neighbor_[link];
-      const int next_in_port = reverse_port_[link];
-      if (flit.tail) {
-        out.allocated = false;
-        vc.active = false;
-        vc.out_port = -1;
-      }
-      staged_.push_back(Staged{next, next_in_port, vc.out_vc,
-                               std::move(flit)});
-      rr = (unit + 1 == std::size_t(in_units)) ? 0 : unit + 1;
-      break;  // one flit per output port per cycle
-    }
-  }
-}
-
-DDPM_HOT void WormholeNetwork::step_ref() {
-  const NodeId n_nodes = NodeId(num_nodes_);
-  for (NodeId node = 0; node < n_nodes; ++node) {
-    // A node with no buffered flits has no allocation, traversal, or
-    // ejection work: skipping it is observationally identical (no probes
-    // fire, no round-robin pointer moves on an all-empty switch).
-    if (node_flits_[node] == 0) continue;
-    switch_allocation(node);
-  }
-  progress_marker_ += staged_.size();
-  for (Staged& s : staged_) {
-    ++node_flits_[s.node];
-    input_vc(s.node, s.in_port, s.vc).buffer.push_back(std::move(s.flit));
-  }
-  staged_.clear();
-}
-
-// --------------------------------------------------------------------------
-// SoA engine. Same cycle semantics, driven by bitmasks: the allocation
-// pass walks the occupancy mask (one ctz per occupied unit), traversal
-// arbitration walks req & occ rotated to the round-robin pointer, and the
-// node loop walks the two-level active bitmap — everything in the same
-// ascending order the reference engine's full scans observe, so probes
-// fire and credits move identically.
-// --------------------------------------------------------------------------
-
-DDPM_HOT void WormholeNetwork::soa_eject(NodeId node, int unit) {
-  const std::size_t g = std::size_t(node) * std::size_t(soa_units_) +
-                        std::size_t(unit);
-  UnitCtl& ctl = soa_in_[g];
-  while (soa_qsize(node, unit, ctl) > 0) {
-    const Flit flit = soa_qfront(node, unit, ctl);
-    soa_qpop(node, unit, ctl);
-    --flits_in_flight_;
-    ++progress_marker_;
-    if (flit.tail) {
-      ctl.active = 0;
-      if (ctl.out_port == -2) {
-        ++dropped_ttl_;
-      } else {
-        pkt_pool_[flit.pkt].delivered_at = cycle_;
-        ++delivered_;
-        probes_.on_delivered();
-        if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
-      }
-      pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
-      ctl.out_port = -1;
-      break;
-    }
-  }
-  if (soa_qsize(node, unit, ctl) == 0) soa_note_empty(node, unit);
-}
-
-DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
-                                            int unit) {
-  const std::size_t g = std::size_t(node) * std::size_t(soa_units_) +
-                        std::size_t(unit);
-  UnitCtl& ctl = soa_in_[g];
-  const Flit& head = soa_qfront(node, unit, ctl);
-  pkt::Packet& packet = pkt_pool_[head.pkt];
-  const Port arrived_on =
-      in_port == injection_port() ? route::kLocalPort : Port(in_port);
-
-  if (packet.header.ttl() == 0) {
-    ctl.active = 1;
-    ctl.out_port = -2;  // discard sink
-    ctl.out_vc = -1;
-    ctl.out_slot = -1;
-    return true;
-  }
-
-  Port best_port = -1;
-  int best_vc = -1;
-  int best_credits = 0;
-  if (!cand_mask_.empty()) {
-    std::uint32_t mask = cand_mask_[std::size_t(node) * std::size_t(num_nodes_) +
-                                    std::size_t(packet.dest_node)];
-    while (mask != 0) {
-      const Port p = Port(__builtin_ctz(mask));
-      mask &= mask - 1;
-      for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutCtl& out = soa_out_[soa_out_index(node, p, v)];
-        if (out.allocated == 0 && int(out.credits) > best_credits) {
-          best_credits = int(out.credits);
-          best_port = p;
-          best_vc = v;
-        }
-      }
-    }
-  } else {
-    // Cold fallback (tables disabled or over budget), same as the
-    // reference engine's.
-    const auto candidates = router_.candidates(  // ddpm-analyze: allow(hot-no-virtual)
-        node, packet.dest_node, arrived_on);
-    for (Port p : candidates) {
-      for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutCtl& out = soa_out_[soa_out_index(node, p, v)];
-        if (out.allocated == 0 && int(out.credits) > best_credits) {
-          best_credits = int(out.credits);
-          best_port = p;
-          best_vc = v;
-        }
-      }
-    }
-  }
-
-  std::uint8_t next_class = head.escape_class;
-  if (best_port < 0 &&
-      (config_.disable_escape || DDPM_MODEL_MUTATION(kSkipEscapeFallback))) {
-    probes_.on_alloc_stall();
-    return false;
-  }
-  if (best_port < 0) {
-    Port p = -1;
-    if (!escape_port_.empty()) {
-      p = escape_port_[std::size_t(node) * std::size_t(num_nodes_) +
-                       std::size_t(packet.dest_node)];
-      if (p < 0) return false;  // only possible if already at dest
-    } else {
-      const auto escape =
-          escape_router_.candidates(node, packet.dest_node, arrived_on);
-      if (escape.empty()) return false;  // only possible if already at dest
-      p = escape.front();
-    }
-    if (escape_vcs_ > 1) {
-      const std::size_t dim = std::size_t(p / 2);
-      bool same_dim_as_arrival = false;
-      if (arrived_on != route::kLocalPort) {
-        same_dim_as_arrival = (std::size_t(arrived_on / 2) == dim);
-      }
-      if (!same_dim_as_arrival) next_class = 0;
-      if (wrap_link_[std::size_t(node) * std::size_t(num_ports_) +
-                     std::size_t(p)] != 0) {
-        next_class = 1;  // wrap crossing
-      }
-    }
-    const int v = int(next_class);
-    const OutCtl& out = soa_out_[soa_out_index(node, p, v)];
+    const OutCtl& out = out_[out_index(node, p, v)];
     if (out.allocated != 0 || out.credits == 0) {
       (out.allocated != 0 ? probes_.on_alloc_stall()
                           : probes_.on_credit_stall());
@@ -736,8 +434,10 @@ DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
     best_vc = v;
   }
 
-  const std::size_t slot = soa_out_index(node, best_port, best_vc);
-  soa_out_[slot].allocated = 1;
+  // Claim the output VC; run TTL + marking once per switch, exactly at the
+  // post-routing point Figure 4 prescribes.
+  const std::size_t slot = out_index(node, best_port, best_vc);
+  out_[slot].allocated = 1;
   probes_.on_vc_alloc();
   ctl.active = 1;
   ctl.out_port = std::int16_t(best_port);
@@ -748,25 +448,27 @@ DDPM_HOT bool WormholeNetwork::soa_allocate(NodeId node, int in_port,
   const NodeId next = neighbor_[std::size_t(node) * std::size_t(num_ports_) +
                                 std::size_t(best_port)];
   packet.header.decrement_ttl();
+  // Scheme polymorphism is the experiment's independent variable — the
+  // one virtual call the hot path keeps, by design.
   if (scheme_ != nullptr) scheme_->on_forward(packet, node, next);  // ddpm-analyze: allow(hot-no-virtual)
   ++packet.hops;
+  // Path tracing is opt-in (trace seeded non-empty) and bounded by TTL.
   if (!packet.trace.empty()) packet.trace.push_back(next);  // ddpm-analyze: allow(hot-no-alloc)
-  soa_qfront(node, unit, ctl).escape_class = next_class;
+  // Record the downstream escape class on the (future) head flit.
+  qfront(node, unit, ctl).escape_class = next_class;
   return true;
 }
 
-DDPM_HOT void WormholeNetwork::soa_switch_allocation(NodeId node) {
-  const std::size_t base = std::size_t(node) * std::size_t(soa_units_);
+DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
+  const std::size_t base = std::size_t(node) * std::size_t(units_);
 
   // VC allocation + ejection/discard, over occupied units only. In-transit
-  // units (out_port claimed == some req_ bit set) are provably no-ops in
-  // this pass — the reference engine falls through both branches without
-  // firing a probe — so they are masked out up front; what remains is
-  // units awaiting allocation, ejection, or discard. The mask snapshot is
-  // safe: this pass can only empty the unit it is processing, never
-  // another unit at this node (and staged arrivals land after the full
-  // node sweep), so snapshot == live set; emptiness is still re-checked
-  // per unit like the reference engine does.
+  // units (out_port claimed == some req_ bit set) have nothing to do in
+  // this pass, so they are masked out up front; what remains is units
+  // awaiting allocation, ejection, or discard. The mask snapshot is safe:
+  // this pass can only empty the unit it is processing, never another unit
+  // at this node (and arrivals land after the full node sweep), so
+  // snapshot == live set; emptiness is still re-checked per unit.
   const std::size_t rbase = std::size_t(node) * std::size_t(num_ports_);
   std::uint64_t transit = 0;
   for (Port p = 0; p < num_ports_; ++p) transit |= req_[rbase + std::size_t(p)];
@@ -774,45 +476,46 @@ DDPM_HOT void WormholeNetwork::soa_switch_allocation(NodeId node) {
   while (occ != 0) {
     const int unit = __builtin_ctzll(occ);
     occ &= occ - 1;
-    UnitCtl& ctl = soa_in_[base + std::size_t(unit)];
-    if (soa_qsize(node, unit, ctl) == 0) continue;
+    UnitCtl& ctl = in_[base + std::size_t(unit)];
+    if (qsize(node, unit, ctl) == 0) continue;
     if (ctl.active == 0) {
-      const Flit& front = soa_qfront(node, unit, ctl);
+      const Flit& front = qfront(node, unit, ctl);
       if (!front.head) continue;  // body flits of an ejected/advancing head
       if (pkt_pool_[front.pkt].dest_node == node) {
-        const std::size_t consumed = soa_qsize(node, unit, ctl);
+        // Local delivery path: consume and credit.
+        const std::size_t consumed = qsize(node, unit, ctl);
         ctl.out_port = -1;
         ctl.active = 1;  // occupy until tail passes
-        soa_eject(node, unit);
-        for (std::size_t i = 0; i < consumed - soa_qsize(node, unit, ctl);
-             ++i) {
-          soa_return_credit(base + std::size_t(unit));
+        eject(node, unit);
+        for (std::size_t i = 0; i < consumed - qsize(node, unit, ctl); ++i) {
+          return_credit(base + std::size_t(unit));
         }
         continue;
       }
-      if (!soa_allocate(node, int(unit_port_[std::size_t(unit)]), unit)) {
+      if (!allocate(node, int(unit_port_[std::size_t(unit)]), unit)) {
         continue;
       }
     }
     if (ctl.active != 0 && (ctl.out_port == -1 || ctl.out_port == -2)) {
-      const std::size_t before = soa_qsize(node, unit, ctl);
-      soa_eject(node, unit);
-      for (std::size_t i = 0; i < before - soa_qsize(node, unit, ctl); ++i) {
-        soa_return_credit(base + std::size_t(unit));
+      // Ejection or discard in progress: keep consuming arrivals.
+      const std::size_t before = qsize(node, unit, ctl);
+      eject(node, unit);
+      for (std::size_t i = 0; i < before - qsize(node, unit, ctl); ++i) {
+        return_credit(base + std::size_t(unit));
       }
     }
   }
 
   // Switch traversal: each output port forwards at most one flit. The
-  // candidate mask (active units routed to this port that hold a flit)
-  // is rotated to the round-robin pointer, reproducing the reference
-  // engine's wrap-around scan order — including the credit-stall probes
+  // candidate mask (active units routed to this port that hold a flit) is
+  // rotated to the round-robin pointer, so the scan visits units in
+  // wrap-around order from the pointer — including the credit-stall probes
   // on skipped candidates.
   for (Port out_port = 0; out_port < num_ports_; ++out_port) {
     const std::size_t np = rbase + std::size_t(out_port);
     const std::uint64_t cand = req_[np] & occ_[node];
     if (cand == 0) continue;
-    std::uint8_t& rr = soa_rr_[np];
+    std::uint8_t& rr = rr_[np];
     const std::uint64_t high =
         rr == 0 ? cand : (cand >> unsigned(rr)) << unsigned(rr);
     std::uint64_t part = high != 0 ? high : (cand ^ high);
@@ -824,24 +527,25 @@ DDPM_HOT void WormholeNetwork::soa_switch_allocation(NodeId node) {
         part = cand ^ high;  // continue the scan below the pointer
         wrapped = true;
       }
-      UnitCtl& ctl = soa_in_[base + std::size_t(unit)];
-      OutCtl& out = soa_out_[std::size_t(ctl.out_slot)];
+      UnitCtl& ctl = in_[base + std::size_t(unit)];
+      OutCtl& out = out_[std::size_t(ctl.out_slot)];
       if (out.credits == 0 && !DDPM_MODEL_MUTATION(kBufferOffByOne)) {
         probes_.on_credit_stall();
         continue;
       }
       probes_.on_flit_forward();
-      probes_.on_buffer_sample(soa_qsize(node, unit, ctl));
-      const Flit flit = soa_qfront(node, unit, ctl);
-      soa_qpop(node, unit, ctl);
+      probes_.on_buffer_sample(qsize(node, unit, ctl));
+      const Flit flit = qfront(node, unit, ctl);
+      qpop(node, unit, ctl);
 #if defined(DDPM_MODEL_MUTATIONS)
-      // See the reference-engine traversal: model the sender's stale belief
-      // without underflowing the counter.
+      // Under the off-by-one mutation the sender "knows" about one slot
+      // that does not exist; clamp so the counter models that belief
+      // rather than underflowing.
       if (out.credits > 0) --out.credits;
 #else
       --out.credits;
 #endif
-      soa_return_credit(base + std::size_t(unit));
+      return_credit(base + std::size_t(unit));
       const LinkDst dst = link_dst_[np];
       if (flit.tail) {
         out.allocated = 0;
@@ -849,20 +553,21 @@ DDPM_HOT void WormholeNetwork::soa_switch_allocation(NodeId node) {
         ctl.out_port = -1;
         req_[np] &= ~(std::uint64_t(1) << unsigned(unit));
       }
-      soa_staged_.push_back(SoaStaged{
+      arrivals_.push_back(Arrival{
           dst.node, std::uint16_t(dst.unit_base + unsigned(ctl.out_vc)),
           flit});
-      if (soa_qsize(node, unit, ctl) == 0) soa_note_empty(node, unit);
-      rr = std::uint8_t(unit + 1 == soa_units_ ? 0 : unit + 1);
+      if (qsize(node, unit, ctl) == 0) note_empty(node, unit);
+      rr = std::uint8_t(unit + 1 == units_ ? 0 : unit + 1);
       break;  // one flit per output port per cycle
     }
   }
 }
 
-DDPM_HOT void WormholeNetwork::step_soa() {
+DDPM_HOT void WormholeNetwork::step() {
+  const std::uint64_t before = progress_marker_;
   // Two-level active-node bitmap walk, ascending. Processing a node can
-  // only clear ITS OWN bits (other nodes' occupancy moves via staged_,
-  // which lands after the sweep), so word snapshots match the live set.
+  // only clear ITS OWN bits (other nodes' occupancy moves via arrivals_,
+  // which land after the sweep), so word snapshots match the live set.
   for (std::size_t grp = 0; grp < group_mask_.size(); ++grp) {
     std::uint64_t gw = group_mask_[grp];
     while (gw != 0) {
@@ -872,33 +577,24 @@ DDPM_HOT void WormholeNetwork::step_soa() {
       while (nw != 0) {
         const NodeId node = NodeId(word * 64 + std::size_t(__builtin_ctzll(nw)));
         nw &= nw - 1;
-        soa_switch_allocation(node);
+        switch_allocation(node);
       }
     }
   }
-  progress_marker_ += soa_staged_.size();
+  progress_marker_ += arrivals_.size();
   // Arrivals always land on a switch unit (links feed ports 0..P-1), so
   // landing is a direct slab store: window base + (head + count) mod B.
   const std::size_t depth = std::size_t(config_.buffer_flits);
-  for (const SoaStaged& s : soa_staged_) {
-    UnitCtl& ctl = soa_in_[std::size_t(s.node) * std::size_t(soa_units_) +
-                           std::size_t(s.unit)];
+  for (const Arrival& a : arrivals_) {
+    UnitCtl& ctl = in_[std::size_t(a.node) * std::size_t(units_) +
+                       std::size_t(a.unit)];
     std::size_t pos = std::size_t(ctl.qhead) + std::size_t(ctl.qcount);
     if (pos >= depth) pos -= depth;
-    fbuf_[fbase(s.node, int(s.unit)) + pos] = s.flit;
+    fbuf_[fbase(a.node, int(a.unit)) + pos] = a.flit;
     ++ctl.qcount;
-    soa_note_push(s.node, int(s.unit));
+    note_push(a.node, int(a.unit));
   }
-  soa_staged_.clear();
-}
-
-DDPM_HOT void WormholeNetwork::step() {
-  const std::uint64_t before = progress_marker_;
-  if (soa_units_ != 0) {
-    step_soa();
-  } else {
-    step_ref();
-  }
+  arrivals_.clear();
   ++cycle_;
   probes_.on_cycle(cycle_, flits_in_flight_);
   if (progress_marker_ == before && flits_in_flight_ > 0) {

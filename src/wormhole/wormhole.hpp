@@ -30,21 +30,23 @@
 // dimension-order next hop per (node, dest), and, for routers that declare
 // arrival-invariant candidates, the candidate port set as a bitmask per
 // (node, dest) — so the steady-state loop performs no virtual dispatch and
-// no heap allocation (flit queues are flat RingBuffers, reserved to credit
-// depth). Table-driven routing is byte-identical to the virtual path; the
-// `use_route_tables` toggle exists so tests can prove it.
+// no heap allocation. Table-driven routing is byte-identical to the
+// virtual path; the `use_route_tables` toggle exists so tests can prove it.
 //
-// On top of the tables sits the structure-of-arrays engine (default): all
-// per-unit control state lives in flat UnitCtl/OutCtl records indexed by
-// the global unit id, switch-port flit buffers are fixed-depth windows in
-// one contiguous slab (their ring cursors live in the control record),
+// On top of the tables sits a structure-of-arrays layout: all per-unit
+// control state lives in flat UnitCtl/OutCtl records indexed by the global
+// unit id, switch-port flit buffers are fixed-depth windows in one
+// contiguous slab (their ring cursors live in the control record),
 // per-node occupancy and per-(node, port) request bitmasks drive the
 // allocation and traversal passes (one ctz per occupied unit instead of a
 // scan over every unit), and a two-level active-node bitmap lets step()
-// walk exactly the switches holding flits, in ascending node order. The `use_soa_engine` toggle keeps the original
-// object-graph engine alive as the reference: delivery evidence AND the
-// telemetry snapshot must be byte-identical between the two
-// (tests/test_wormhole.cpp, SoaEngineIsByteIdenticalToLegacyPath).
+// walk exactly the switches holding flits, in ascending node order.
+//
+// The reference for the cycle semantics is the protocol model
+// (src/verify/model/proto_model.hpp), an engine-free re-statement checked
+// against this network in lockstep after every event. Golden digests of
+// delivery evidence and telemetry (tests/test_wormhole.cpp) pin the output
+// byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +72,9 @@ namespace ddpm::wormhole {
 using topo::NodeId;
 using topo::Port;
 
-/// Between-cycles view of the credit/VC protocol state, engine-agnostic:
-/// the same projection the bounded model checker's abstract states encode,
-/// captured from the *real* network (src/verify/model, the witness-replay
+/// Between-cycles view of the credit/VC protocol state: the same
+/// projection the bounded model checker's abstract states encode, captured
+/// from the *real* network (src/verify/model, the witness-replay
 /// contract). All vectors are indexed with the network's own unit layout:
 /// input units as node * (P+1) * V + port * V + vc (port P = injection),
 /// output VCs as node * P * V + port * V + vc.
@@ -107,11 +109,10 @@ struct WormholeConfig {
   /// Per-(node, dest) tables are O(N^2); beyond this many nodes the
   /// network falls back to the virtual path rather than burn memory.
   std::size_t route_table_max_nodes = 4096;
-  /// Structure-of-arrays engine: flat control records plus occupancy /
-  /// request bitmasks replace the nested node->unit object walk. Engaged
-  /// when (P+1)*V fits the 64-bit unit masks; off (or oversize) runs the
-  /// original engine — the reference the SoA byte-identity test compares
-  /// against.
+  /// Only `true` is accepted: the constructor throws std::invalid_argument
+  /// on `false`. The field stays declared because the benchmark harness
+  /// (perfbench/workloads.cpp) sets and echoes it; it goes when that
+  /// harness next changes.
   bool use_soa_engine = true;
 };
 
@@ -119,6 +120,9 @@ class WormholeNetwork {
  public:
   /// `router` supplies the adaptive candidates; the escape layer always
   /// uses an internal dimension-order router. `scheme` may be null.
+  /// Throws std::invalid_argument when the router needs escape VCs that
+  /// the config removes, when (ports + 1) * total_vcs() exceeds the 64-bit
+  /// per-node unit masks, or when use_soa_engine is false.
   WormholeNetwork(const topo::Topology& topo, const route::Router& router,
                   mark::MarkingScheme* scheme, WormholeConfig config);
 
@@ -157,12 +161,7 @@ class WormholeNetwork {
   /// tests can assert the fast path is actually exercised.
   bool using_route_tables() const noexcept { return !cand_mask_.empty(); }
 
-  /// True when the structure-of-arrays engine is live (use_soa_engine and
-  /// the unit count fits the 64-bit masks). Exposed so tests can assert
-  /// which engine a scenario actually ran on.
-  bool using_soa_engine() const noexcept { return soa_units_ != 0; }
-
-  /// Captures the credit/VC protocol state (engine-agnostic projection).
+  /// Captures the credit/VC protocol state (the model's projection).
   /// Cold by construction: the model checker's lockstep-differential test
   /// and the witness-replay harness call it between cycles; nothing on the
   /// step() path does.
@@ -210,65 +209,18 @@ class WormholeNetwork {
   };
   DDPM_HOT_LAYOUT(Flit, 8, 4);
 
-  struct DDPM_HOT_STATE InputVc {
-    core::RingBuffer<Flit> buffer;
-    bool active = false;  // head has been routed and holds an output VC
-    Port out_port = -1;
-    int out_vc = -1;
-  };
-  DDPM_HOT_LAYOUT(InputVc, 56, 8);
-
-  struct DDPM_HOT_STATE OutputVc {
-    bool allocated = false;
-    int credits = 0;
-  };
-  DDPM_HOT_LAYOUT(OutputVc, 8, 4);
-
-  struct NodeState {
-    // Input units: [physical ports 0..P-1][injection port P], each with V VCs.
-    std::vector<InputVc> in;                // (P+1) * V
-    std::vector<OutputVc> out;              // P * V
-    std::vector<std::size_t> rr;            // round-robin pointer per out port
-  };
-
-  InputVc& input_vc(NodeId n, int port, int vc) {
-    return nodes_[n].in[std::size_t(port) * std::size_t(total_vcs()) + std::size_t(vc)];
-  }
-  OutputVc& output_vc(NodeId n, Port port, int vc) {
-    return nodes_[n].out[std::size_t(port) * std::size_t(total_vcs()) + std::size_t(vc)];
-  }
-
   int injection_port() const noexcept { return num_ports_; }
 
   /// Builds neighbor_/reverse_port_/wrap_link_ (always) and the
   /// per-(node, dest) escape + candidate tables (when within budget).
   void build_route_tables();
 
-  // -- reference engine (object graph; use_soa_engine = false) -------------
-
-  /// Route + VC allocation for the head flit at the front of an input VC.
-  /// Returns true if an output VC was claimed.
-  bool allocate(NodeId node, int in_port, InputVc& vc);
-
-  /// One switch-allocation pass for a node: each output port forwards at
-  /// most one flit; the ejection path consumes arbitrarily many.
-  void switch_allocation(NodeId node);
-
-  void eject(NodeId node, InputVc& vc);
-
-  /// Credit return to the upstream output VC feeding (node, in_port, vc).
-  void return_credit(NodeId node, int in_port, int vc);
-
-  void step_ref();
-
-  // -- SoA engine (flat records + bitmasks; engaged when soa_units_ != 0) --
-
   /// Per-input-unit control record, indexed by global unit id
-  /// node * soa_units_ + unit. Switch units keep their queue cursors here
-  /// (the flits themselves live in the fbuf_ slab); injection units ignore
+  /// node * units_ + unit. Switch units keep their queue cursors here (the
+  /// flits themselves live in the fbuf_ slab); injection units ignore
   /// qhead/qcount and queue in inj_buf_.
   struct DDPM_HOT_STATE UnitCtl {
-    std::int32_t out_slot = -1;  // claimed soa_out_ slot (cached index)
+    std::int32_t out_slot = -1;  // claimed out_ slot (cached index)
     std::int16_t out_port = -1;  // -1 idle/eject, -2 discard sink
     std::int8_t out_vc = -1;
     std::uint8_t active = 0;
@@ -284,38 +236,44 @@ class WormholeNetwork {
   };
   DDPM_HOT_LAYOUT(OutCtl, 4, 2);
 
-  void build_soa();
-  void step_soa();
-  void soa_switch_allocation(NodeId node);
-  bool soa_allocate(NodeId node, int in_port, int unit);
-  void soa_eject(NodeId node, int unit);
+  /// Sizes the per-unit records and builds the static unit/link tables.
+  void build_units();
+
+  /// Route + VC allocation for the head flit at the front of `unit`.
+  /// Returns true if an output VC (or the discard sink) was claimed.
+  bool allocate(NodeId node, int in_port, int unit);
+
+  /// One switch-allocation pass for a node: each output port forwards at
+  /// most one flit; the ejection path consumes arbitrarily many.
+  void switch_allocation(NodeId node);
+
+  void eject(NodeId node, int unit);
 
   /// Start of switch unit `unit`'s fixed-depth window in the fbuf_ slab.
   std::size_t fbase(NodeId n, int unit) const noexcept {
-    return (std::size_t(n) * std::size_t(soa_switch_units_) +
-            std::size_t(unit)) *
+    return (std::size_t(n) * std::size_t(switch_units_) + std::size_t(unit)) *
            std::size_t(config_.buffer_flits);
   }
-  /// Injection queue backing an injection unit (unit >= soa_switch_units_).
+  /// Injection queue backing an injection unit (unit >= switch_units_).
   core::RingBuffer<Flit>& inj_queue(NodeId n, int unit) noexcept {
     return inj_buf_[std::size_t(n) * std::size_t(total_vcs()) +
-                    std::size_t(unit - soa_switch_units_)];
+                    std::size_t(unit - switch_units_)];
   }
 
   // Generic queue ops over a unit: switch units resolve to the slab window
   // addressed by the UnitCtl cursors (no pointer chase, the whole depth-B
   // window is contiguous); injection units dispatch to the unbounded ring.
   // The branch predicts well — switch units dominate every pass.
-  std::size_t soa_qsize(NodeId n, int unit, const UnitCtl& ctl) noexcept {
-    if (unit < soa_switch_units_) return ctl.qcount;
+  std::size_t qsize(NodeId n, int unit, const UnitCtl& ctl) noexcept {
+    if (unit < switch_units_) return ctl.qcount;
     return inj_queue(n, unit).size();
   }
-  Flit& soa_qfront(NodeId n, int unit, UnitCtl& ctl) noexcept {
-    if (unit < soa_switch_units_) return fbuf_[fbase(n, unit) + ctl.qhead];
+  Flit& qfront(NodeId n, int unit, UnitCtl& ctl) noexcept {
+    if (unit < switch_units_) return fbuf_[fbase(n, unit) + ctl.qhead];
     return inj_queue(n, unit).front();
   }
-  void soa_qpop(NodeId n, int unit, UnitCtl& ctl) noexcept {
-    if (unit < soa_switch_units_) {
+  void qpop(NodeId n, int unit, UnitCtl& ctl) noexcept {
+    if (unit < switch_units_) {
       ctl.qhead = std::uint16_t(int(ctl.qhead) + 1 == config_.buffer_flits
                                     ? 0
                                     : ctl.qhead + 1);
@@ -326,29 +284,29 @@ class WormholeNetwork {
   }
   /// Credit return for a pop from global unit g = node * U + unit; the
   /// upstream output-VC slot is precomputed in credit_slot_.
-  void soa_return_credit(std::size_t g) noexcept {
+  void return_credit(std::size_t g) noexcept {
     if (DDPM_MODEL_MUTATION(kDropCreditReturn)) return;  // seeded bug
     const std::int32_t slot = credit_slot_[g];
-    if (slot >= 0 && soa_out_[std::size_t(slot)].credits < config_.buffer_flits) {
-      ++soa_out_[std::size_t(slot)].credits;
+    if (slot >= 0 && out_[std::size_t(slot)].credits < config_.buffer_flits) {
+      ++out_[std::size_t(slot)].credits;
     }
   }
 
-  std::size_t soa_out_index(NodeId n, Port port, int vc) const noexcept {
+  std::size_t out_index(NodeId n, Port port, int vc) const noexcept {
     return (std::size_t(n) * std::size_t(num_ports_) + std::size_t(port)) *
                std::size_t(total_vcs()) +
            std::size_t(vc);
   }
 
   /// Marks unit's buffer non-empty: occupancy bit, node bit, summary bit.
-  void soa_note_push(NodeId n, int unit) noexcept {
+  void note_push(NodeId n, int unit) noexcept {
     occ_[n] |= (std::uint64_t(1) << unsigned(unit));
     node_mask_[n >> 6] |= (std::uint64_t(1) << (n & 63));
     group_mask_[n >> 12] |= (std::uint64_t(1) << ((n >> 6) & 63));
   }
   /// Clears the occupancy bit after a pop emptied unit's buffer; drops the
   /// node out of the active bitmap when its last unit drains.
-  void soa_note_empty(NodeId n, int unit) noexcept {
+  void note_empty(NodeId n, int unit) noexcept {
     occ_[n] &= ~(std::uint64_t(1) << unsigned(unit));
     if (occ_[n] == 0) {
       node_mask_[n >> 6] &= ~(std::uint64_t(1) << (n & 63));
@@ -381,30 +339,24 @@ class WormholeNetwork {
   /// order is verified ascending, so mask iteration reproduces the virtual
   /// candidate order bit for bit.
   std::vector<std::uint32_t> cand_mask_; // N*N, or empty (fallback)
-  /// unit -> (in_port, in_vc) decomposition, precomputed so the per-probe
-  /// scans in switch_allocation never divide (unit / V and unit % V were
-  /// measurable on the cycle loop; V is runtime-sized).
+  /// unit -> in_port, precomputed so the allocation pass never divides
+  /// (unit / V was measurable on the cycle loop; V is runtime-sized).
   std::vector<std::int32_t> unit_port_;  // (P+1)*V
-  std::vector<std::int32_t> unit_vc_;    // (P+1)*V
 
-  std::vector<NodeState> nodes_;
-  /// Flits buffered at each node's input units; lets step_ref() skip nodes
-  /// with no work this cycle. Reference engine only.
-  std::vector<std::uint32_t> node_flits_;
-
-  /// Packet slab (both engines). inject() acquires a slot (freelist first,
-  /// growth only when every slot is in flight — cold); tail ejection
-  /// releases it. pkt_free_'s capacity tracks the pool's so the hot-path
-  /// release push never allocates.
+  /// Packet slab. inject() acquires a slot (freelist first, growth only
+  /// when every slot is in flight — cold); tail ejection releases it.
+  /// pkt_free_'s capacity tracks the pool's so the hot-path release push
+  /// never allocates.
   std::vector<pkt::Packet> pkt_pool_;
   std::vector<std::uint32_t> pkt_free_;
 
-  /// SoA engine state. `soa_units_` is (P+1)*V when engaged, 0 otherwise;
-  /// records are indexed by global unit id node * soa_units_ + u. Units
-  /// below `soa_switch_units_` (= P*V) are credit-bounded switch queues
-  /// whose flits live in the fbuf_ slab; the rest are injection queues.
-  int soa_units_ = 0;
-  int soa_switch_units_ = 0;
+  /// Input units per node, (P+1)*V; records are indexed by global unit id
+  /// node * units_ + u. Units below `switch_units_` (= P*V) are
+  /// credit-bounded switch queues whose flits live in the fbuf_ slab; the
+  /// rest are injection queues. The per-node masks below are 64 bits
+  /// wide, so the constructor rejects units_ > 64.
+  int units_ = 0;
+  int switch_units_ = 0;
   /// One contiguous depth-B window per switch unit (N * P*V * B flits,
   /// cursors in UnitCtl): at the default depth a whole window is 32 bytes,
   /// so a unit's entire buffer shares a cache line with its neighbors —
@@ -413,9 +365,9 @@ class WormholeNetwork {
   std::vector<Flit> fbuf_;
   /// Unbounded injection queues, one per (node, VC); grow only in inject().
   std::vector<core::RingBuffer<Flit>> inj_buf_;  // N*V
-  std::vector<UnitCtl> soa_in_;                  // N*U
-  std::vector<OutCtl> soa_out_;                  // N*P*V
-  std::vector<std::uint8_t> soa_rr_;             // N*P round-robin pointers
+  std::vector<UnitCtl> in_;                      // N*U
+  std::vector<OutCtl> out_;                      // N*P*V
+  std::vector<std::uint8_t> rr_;                 // N*P round-robin pointers
   /// Upstream output-VC slot credited when global unit g pops a flit, or
   /// -1 for injection units (unbounded, no credits). Static per topology;
   /// replaces two link-table loads and two index multiplies per pop.
@@ -435,28 +387,20 @@ class WormholeNetwork {
   std::vector<std::uint64_t> req_;
   /// Active-node bitmap (bit n of word n/64 set = occ_[n] != 0) plus a
   /// summary level (bit w of group_mask_[w/64] = node_mask_[w] != 0):
-  /// step_soa() visits exactly the nodes holding flits, ascending — the
-  /// same order the reference engine's full sweep observes.
+  /// step() visits exactly the nodes holding flits, in ascending order.
   std::vector<std::uint64_t> node_mask_;
   std::vector<std::uint64_t> group_mask_;
 
-  // Flits sent this cycle land in downstream buffers only after the full
-  // pass, so a flit cannot traverse two links in one cycle.
-  struct Staged {
-    NodeId node;
-    int in_port;
-    int vc;
-    Flit flit;
-  };
-  std::vector<Staged> staged_;
-  /// SoA staging record: destination is already resolved to (node, unit)
-  /// via link_dst_ at forward time, so landing is one push + bitmap note.
-  struct SoaStaged {
+  /// Flits sent this cycle land in downstream buffers only after the full
+  /// pass, so a flit cannot traverse two links in one cycle. The target is
+  /// resolved to (node, unit) via link_dst_ at forward time, so landing is
+  /// one slab store plus a bitmap note.
+  struct Arrival {
     NodeId node;
     std::uint16_t unit;
     Flit flit;
   };
-  std::vector<SoaStaged> soa_staged_;
+  std::vector<Arrival> arrivals_;
   DeliveryHook hook_;
   std::uint64_t cycle_ = 0;
   std::uint64_t delivered_ = 0;

@@ -78,7 +78,7 @@ std::vector<std::string> interleaved_schedule(const ProtoModel& model,
   return events;
 }
 
-void expect_lockstep(const ModelOptions& opt, bool use_soa_engine) {
+void expect_lockstep(const ModelOptions& opt) {
   ProtoModel model(opt);
   const auto topo = topo::make_topology(opt.topology);
   const auto router = route::make_router(opt.router, *topo);
@@ -86,7 +86,6 @@ void expect_lockstep(const ModelOptions& opt, bool use_soa_engine) {
   config.adaptive_vcs = opt.adaptive_vcs;
   config.buffer_flits = opt.buffer_flits;
   config.disable_escape = opt.disable_escape;
-  config.use_soa_engine = use_soa_engine;
   wormhole::WormholeNetwork net(*topo, *router, nullptr, config);
 
   const std::uint32_t payload =
@@ -113,8 +112,7 @@ void expect_lockstep(const ModelOptions& opt, bool use_soa_engine) {
     }
     const ModelProjection want = model.project(s);
     const wormhole::ProtocolSnapshot got = net.snapshot_protocol();
-    SCOPED_TRACE("event " + std::to_string(i) + " (" + event + "), engine=" +
-                 (use_soa_engine ? "soa" : "reference"));
+    SCOPED_TRACE("event " + std::to_string(i) + " (" + event + ")");
     ASSERT_EQ(want.occupancy.size(), got.occupancy.size());
     ASSERT_EQ(want.credits.size(), got.credits.size());
     ASSERT_EQ(want.allocated.size(), got.allocated.size());
@@ -129,11 +127,10 @@ void expect_lockstep(const ModelOptions& opt, bool use_soa_engine) {
   EXPECT_EQ(model.project(s).flits_in_flight, 0u);
 }
 
-TEST(ModelFidelity, LockstepWithBothEnginesAcrossTheSuiteGrid) {
+TEST(ModelFidelity, LockstepWithTheEngineAcrossTheSuiteGrid) {
   for (const ModelOptions& opt : model_suite_configs()) {
     SCOPED_TRACE(opt.topology + " x " + opt.router);
-    expect_lockstep(opt, /*use_soa_engine=*/false);
-    expect_lockstep(opt, /*use_soa_engine=*/true);
+    expect_lockstep(opt);
   }
 }
 
@@ -196,12 +193,9 @@ TEST(ModelNegativeControl, DisableEscapeConvictsDeadlockAndReplays) {
   EXPECT_NE(json.find("\"property\": \"bounded-progress\""), std::string::npos);
   EXPECT_NE(json.find("inject"), std::string::npos);
 
-  for (const bool soa : {false, true}) {
-    SCOPED_TRACE(soa ? "soa engine" : "reference engine");
-    const ReplayResult replay = replay_witness(r.witness, soa);
-    ASSERT_TRUE(replay.ran) << replay.detail;
-    EXPECT_TRUE(replay.reproduced) << replay.detail;
-  }
+  const ReplayResult replay = replay_witness(r.witness);
+  ASSERT_TRUE(replay.ran) << replay.detail;
+  EXPECT_TRUE(replay.reproduced) << replay.detail;
 }
 
 // A conviction found under the symmetry quotient still ships an exact

@@ -5,7 +5,7 @@
 // (src/core/model_hooks.hpp) are live at runtime. For each bug the model
 // checker must (a) convict the corresponding abstract configuration with a
 // concrete witness, and (b) that witness must replay to a real failure on
-// the mutated WormholeNetwork — on both engines. The unmutated control
+// the mutated WormholeNetwork. The unmutated control
 // must stay clean. A checker that cannot convict a seeded bug, or a
 // witness that does not reproduce, is the failure mode this test exists to
 // catch (ISSUE satellite: mutation-seeded bug injection).
@@ -64,14 +64,11 @@ void expect_convicted_and_reproduced(const ModelOptions& opt,
   EXPECT_EQ(r.witness.mutation, expected_mutation);
   EXPECT_EQ(r.witness.property, property);
   ASSERT_FALSE(r.witness.events.empty());
-  for (const bool soa : {false, true}) {
-    SCOPED_TRACE(soa ? "soa engine" : "reference engine");
-    const ReplayResult replay = replay_witness(r.witness, soa);
-    ASSERT_TRUE(replay.ran) << replay.detail;
-    EXPECT_TRUE(replay.reproduced)
-        << "witness did not reproduce on the real mutated network: "
-        << replay.detail;
-  }
+  const ReplayResult replay = replay_witness(r.witness);
+  ASSERT_TRUE(replay.ran) << replay.detail;
+  EXPECT_TRUE(replay.reproduced)
+      << "witness did not reproduce on the real mutated network: "
+      << replay.detail;
 }
 
 TEST(ModelMutations, ControlWithoutMutationStaysClean) {
@@ -106,12 +103,9 @@ TEST(ModelMutations, SkippedEscapeFallbackConvictsDeadlock) {
   EXPECT_EQ(r.progress_kind, "deadlock");
   ASSERT_TRUE(r.has_witness);
   EXPECT_EQ(r.witness.mutation, "skip-escape-fallback");
-  for (const bool soa : {false, true}) {
-    SCOPED_TRACE(soa ? "soa engine" : "reference engine");
-    const ReplayResult replay = replay_witness(r.witness, soa);
-    ASSERT_TRUE(replay.ran) << replay.detail;
-    EXPECT_TRUE(replay.reproduced) << replay.detail;
-  }
+  const ReplayResult replay = replay_witness(r.witness);
+  ASSERT_TRUE(replay.ran) << replay.detail;
+  EXPECT_TRUE(replay.reproduced) << replay.detail;
   // The same ring with the escape fallback intact drains (the mutation —
   // not the configuration — is what the checker convicts).
   const ModelCheckResult healthy = check_model(ring_config(ModelMutation::kNone));

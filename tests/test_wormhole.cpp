@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "telemetry/registry.hpp"
@@ -335,16 +337,14 @@ struct DeliveryEvidence {
 
 std::vector<DeliveryEvidence> run_traced_scenario(
     const char* spec, const char* router_name, bool use_tables,
-    bool use_soa = true, std::string* telemetry_csv = nullptr) {
+    std::string* telemetry_csv = nullptr) {
   const auto topo = topo::make_topology(spec);
   const auto router = route::make_router(router_name, *topo);
   mark::DdpmScheme scheme(*topo);
   WormholeConfig config;
   config.use_route_tables = use_tables;
-  config.use_soa_engine = use_soa;
   WormholeNetwork net(*topo, *router, &scheme, config);
   EXPECT_EQ(net.using_route_tables(), use_tables);
-  EXPECT_EQ(net.using_soa_engine(), use_soa);
   telemetry::Registry registry;
   if (telemetry_csv != nullptr) net.bind_telemetry(&registry);
   std::vector<DeliveryEvidence> evidence;
@@ -363,11 +363,78 @@ std::vector<DeliveryEvidence> run_traced_scenario(
     net.inject(std::move(p), s);
   }
   EXPECT_TRUE(net.drain(2000000)) << spec << " " << router_name
-                                  << " tables=" << use_tables
-                                  << " soa=" << use_soa;
+                                  << " tables=" << use_tables;
   EXPECT_EQ(evidence.size(), 400u);
   if (telemetry_csv != nullptr) *telemetry_csv = registry.snapshot().to_csv();
   return evidence;
+}
+
+/// FNV-1a, as tests/test_determinism.cpp fingerprints reports.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t evidence_digest(const std::vector<DeliveryEvidence>& evidence) {
+  std::ostringstream os;
+  for (const DeliveryEvidence& e : evidence) {
+    os << e.at << ' ' << e.true_source << ' ' << e.hops << ' '
+       << e.delivered_at << ' ' << e.marking << ':';
+    for (const NodeId n : e.trace) os << ' ' << n;
+    os << '\n';
+  }
+  return fnv1a(os.str());
+}
+
+// -- golden digests ----------------------------------------------------------
+// The traced scenario's full delivery evidence and its telemetry CSV (every
+// probe firing, including stall probes on skipped arbitration candidates and
+// buffer-depth histogram samples), fingerprinted and pinned. Any change to
+// cycle semantics — allocation order, same-cycle credit visibility, VC-claim
+// ordering, arbitration — moves a digest. The constants were recorded when
+// two independent engines (an object-graph one and the structure-of-arrays
+// one that replaced it) agreed on all of them, with telemetry on and off. A
+// deliberate semantic change must re-record them (the failure message
+// prints the new values) and say why.
+
+struct GoldenDigest {
+  const char* spec;
+  const char* router;
+  bool use_tables;
+  std::uint64_t delivery;
+  std::uint64_t telemetry;
+};
+
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"mesh:8x8", "dor", true, 0xe44e7aa65e2fb52eULL, 0xbb00db3c570a1228ULL},
+    {"mesh:8x8", "adaptive", true, 0xa8bba3846bac15a9ULL,
+     0xf22ce5b46f283c59ULL},
+    {"torus:4x4", "dor", true, 0x5b5de84e733900e9ULL, 0x33af5607dfd7ab7eULL},
+    {"torus:4x4", "adaptive", true, 0xbfd1cf07b5746ddfULL,
+     0xa2208531b783922fULL},
+    {"torus:4x4", "adaptive", false, 0xbfd1cf07b5746ddfULL,
+     0xa2208531b783922fULL},
+};
+
+TEST(Wormhole, GoldenDigestsPinDeliveryAndTelemetry) {
+  for (const GoldenDigest& g : kGoldenDigests) {
+    std::string csv;
+    const auto evidence =
+        run_traced_scenario(g.spec, g.router, g.use_tables, &csv);
+    const std::string where = std::string(g.spec) + " " + g.router +
+                              (g.use_tables ? " tables=1" : " tables=0");
+    EXPECT_EQ(evidence_digest(evidence), g.delivery)
+        << where << ": delivery digest 0x" << std::hex
+        << evidence_digest(evidence);
+#if DDPM_TELEMETRY_ENABLED
+    EXPECT_EQ(fnv1a(csv), g.telemetry)
+        << where << ": telemetry digest 0x" << std::hex << fnv1a(csv);
+#endif
+  }
 }
 
 TEST(Wormhole, RouteTablesAreByteIdenticalToVirtualPath) {
@@ -387,62 +454,29 @@ TEST(Wormhole, RouteTablesAreByteIdenticalToVirtualPath) {
   }
 }
 
-// -- SoA-engine byte-identity ----------------------------------------------
-// The structure-of-arrays engine replaces the object-graph inner loop with
-// flat control records and occupancy/request bitmasks. Like the route
-// tables it is an optimization only: delivery evidence AND the telemetry
-// stream (every probe firing, including stall probes on skipped arbitration
-// candidates and buffer-depth histogram samples) must match the legacy
-// engine exactly — bitmask iteration order is ascending precisely so that
-// same-cycle credit visibility and VC-claim ordering replay bit for bit.
-
-TEST(Wormhole, SoaEngineIsByteIdenticalToLegacyPath) {
-  for (const char* spec : {"mesh:8x8", "torus:4x4"}) {
-    for (const char* router_name : {"dor", "adaptive"}) {
-      std::string soa_csv;
-      std::string ref_csv;
-      const auto soa =
-          run_traced_scenario(spec, router_name, true, true, &soa_csv);
-      const auto reference =
-          run_traced_scenario(spec, router_name, true, false, &ref_csv);
-      ASSERT_EQ(soa.size(), reference.size()) << spec << " " << router_name;
-      for (std::size_t i = 0; i < soa.size(); ++i) {
-        EXPECT_EQ(soa[i], reference[i])
-            << spec << " " << router_name << " packet " << i << " diverged "
-            << "(delivered at " << soa[i].at << " vs " << reference[i].at
-            << ", hops " << soa[i].hops << " vs " << reference[i].hops
-            << ")";
-      }
-      EXPECT_EQ(soa_csv, ref_csv)
-          << spec << " " << router_name << " telemetry streams diverged";
-    }
-  }
-}
-
-TEST(Wormhole, SoaEngineIsByteIdenticalOnVirtualRoutingPath) {
-  // Cross check: SoA with the route tables off (virtual routing fallback
-  // inside soa_allocate) against the fully-legacy engine.
-  const auto soa = run_traced_scenario("torus:4x4", "adaptive", false, true);
-  const auto reference =
-      run_traced_scenario("torus:4x4", "adaptive", false, false);
-  ASSERT_EQ(soa.size(), reference.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    EXPECT_EQ(soa[i], reference[i]) << "packet " << i << " diverged";
-  }
-}
-
-TEST(Wormhole, SoaEngineRespectsUnitMaskBudget) {
-  // (P+1)*V must fit a 64-bit mask: an adaptive_vcs burst past that budget
-  // has to fall back to the legacy engine — and still deliver.
+TEST(Wormhole, RejectsUnitCountBeyondTheMaskWidth) {
+  // (P+1)*V input units per node must fit the 64-bit per-node masks; an
+  // adaptive_vcs burst past that is a configuration error, not a fallback.
   const auto topo = topo::make_topology("mesh:4x4");
   const auto router = route::make_router("adaptive", *topo);
   WormholeConfig config;
   config.adaptive_vcs = 13;  // (4+1)*(13+1) = 70 units > 64
+  EXPECT_THROW(WormholeNetwork(*topo, *router, nullptr, config),
+               std::invalid_argument);
+  config.adaptive_vcs = 11;  // (4+1)*(11+1) = 60 units: fits
   WormholeNetwork net(*topo, *router, nullptr, config);
-  EXPECT_FALSE(net.using_soa_engine());
   for (int i = 0; i < 50; ++i) net.inject(make_packet(*topo, 0, 15), 0);
   ASSERT_TRUE(net.drain(1000000));
   EXPECT_EQ(net.delivered(), 50u);
+}
+
+TEST(Wormhole, RejectsTheRemovedObjectGraphEngine) {
+  const auto topo = topo::make_topology("mesh:4x4");
+  const auto router = route::make_router("adaptive", *topo);
+  WormholeConfig config;
+  config.use_soa_engine = false;
+  EXPECT_THROW(WormholeNetwork(*topo, *router, nullptr, config),
+               std::invalid_argument);
 }
 
 TEST(Wormhole, RouteTablesRespectNodeBudget) {

@@ -95,8 +95,6 @@ TEST(WormholeSteadyAlloc, StepIsAllocationFreeInSteadyState) {
   WormholeNetwork net(*topo, *router, &scheme, {});
   ASSERT_TRUE(net.using_route_tables())
       << "fast path not engaged; the window would measure the fallback";
-  ASSERT_TRUE(net.using_soa_engine())
-      << "SoA engine not engaged; the window would measure the reference";
 
   // The hook must itself be allocation-free: count deliveries, nothing more.
   std::size_t delivered_in_window = 0;
@@ -138,14 +136,13 @@ TEST(WormholeSteadyAlloc, StepIsAllocationFreeInSteadyState) {
 // Same gate with the link clock living on the simulation kernel's calendar
 // wheel (wormhole/wheel_runner.hpp): the periodic tick's schedule/pop must
 // stay on the wheel's O(1) bucket path and acquire no memory either — the
-// full event-driven stack, SoA engine plus wheel, is allocation-free in
-// steady state.
+// full event-driven stack, wormhole engine plus wheel, is allocation-free
+// in steady state.
 TEST(WormholeSteadyAlloc, WheelDrivenStepIsAllocationFreeInSteadyState) {
   const auto topo = topo::make_topology("mesh:8x8");
   const auto router = route::make_router("adaptive", *topo);
   mark::DdpmScheme scheme(*topo);
   WormholeNetwork net(*topo, *router, &scheme, {});
-  ASSERT_TRUE(net.using_soa_engine());
 
   // Heavier load than the direct-run gate: the warm-up must cover a full
   // wheel revolution (1024 ticks at period 1) without draining.
