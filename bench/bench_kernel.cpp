@@ -6,14 +6,10 @@
 // BENCH_kernel.json so subsequent PRs can regress against them. See
 // docs/PERFORMANCE.md for how to read the output.
 //
-//   bench_kernel [--json [path]] [--jobs N] [--smoke]
+//   bench_kernel [--json PATH] [--jobs N] [--smoke]    (--help lists flags)
 //
-//   --json    write machine-readable results (default path
-//             BENCH_kernel.json in the working directory)
-//   --jobs N  thread count for the parallel sweep measurement
-//             (default: hardware concurrency)
-//   --smoke   drastically shrunk workloads; used by the `perf`-labelled
-//             ctest so sanitizer suites stay fast
+// --smoke exists for the `perf`-labelled ctest, so sanitizer suites stay
+// fast.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -24,6 +20,7 @@
 
 #include "bench_util.hpp"
 #include "attack/traffic.hpp"
+#include "core/cli.hpp"
 #include "core/sweep_grid.hpp"
 #include "flow/trace_gen.hpp"
 #include "netsim/event_queue.hpp"
@@ -213,27 +210,18 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool json = false;
-  std::string json_path = "BENCH_kernel.json";
+  std::string json_path;
   std::size_t jobs = std::thread::hardware_concurrency();
   if (jobs == 0) jobs = 1;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json") {
-      json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::stoul(argv[++i]);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "bench_kernel [--json [path]] [--jobs N] [--smoke]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << '\n';
-      return 1;
-    }
+  core::Cli cli("bench_kernel — kernel perf harness");
+  cli.text("--json", json_path, "PATH", "write machine-readable results");
+  cli.number("--jobs", jobs, "N", "threads for the parallel sweep leg", 1);
+  cli.toggle("--smoke", smoke, "drastically shrunk workloads");
+  try {
+    if (!cli.parse(argc, argv, std::cout)) return 0;
+  } catch (const std::invalid_argument& err) {
+    std::cerr << err.what() << '\n';
+    return 1;
   }
 
   std::vector<Result> results;
@@ -299,6 +287,6 @@ int main(int argc, char** argv) {
   for (const auto& r : results) t.row(r.name, r.value, r.unit);
   t.print();
 
-  if (json) write_json(json_path, results, jobs, smoke);
+  if (!json_path.empty()) write_json(json_path, results, jobs, smoke);
   return 0;
 }

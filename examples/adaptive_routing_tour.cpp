@@ -5,6 +5,7 @@
 //   default: mesh:6x6, corner to corner
 #include <iostream>
 
+#include "core/parse_number.hpp"
 #include "marking/ddpm.hpp"
 #include "marking/walk.hpp"
 #include "routing/router.hpp"
@@ -68,10 +69,15 @@ void tour(const topo::Topology& topo, topo::NodeId src, topo::NodeId dst,
 int main(int argc, char** argv) {
   const std::string spec = argc > 1 ? argv[1] : "mesh:6x6";
   const auto topo = topo::make_topology(spec);
-  const topo::NodeId src =
-      argc > 2 ? topo::NodeId(std::stoul(argv[2])) : topo::NodeId(0);
-  const topo::NodeId dst = argc > 3 ? topo::NodeId(std::stoul(argv[3]))
-                                    : topo->num_nodes() - 1;
+  topo::NodeId src = 0;
+  topo::NodeId dst = topo->num_nodes() - 1;
+  if ((argc > 2 && !core::parse_number(argv[2], src)) ||
+      (argc > 3 && !core::parse_number(argv[3], dst)) ||
+      src >= topo->num_nodes() || dst >= topo->num_nodes()) {
+    std::cerr << "error: src and dst must be node ids in [0, "
+              << topo->num_nodes() - 1 << "]\n";
+    return 1;
+  }
   std::cout << "topology " << topo->spec() << ": " << topo->num_nodes()
             << " nodes, degree " << topo->degree() << ", diameter "
             << topo->diameter() << "\nfrom " << topo->coord_of(src).to_string()

@@ -7,12 +7,10 @@
 //   $ ./ddpm_sim --topology torus:8x8 --router adaptive --scheme ddpm
 //       (continued:) --attack udp-flood --zombies 4 --victim 42 --attack-rate 0.01
 //   $ ./ddpm_sim --help
-#include <cstring>
-#include <iostream>
-#include <sstream>
-
 #include <fstream>
+#include <iostream>
 
+#include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "core/report_json.hpp"
 #include "core/sis.hpp"
@@ -21,73 +19,10 @@
 #include "telemetry/trace.hpp"
 #include "trace/trace.hpp"
 
-namespace {
-
-using namespace ddpm;
-
-void usage() {
-  std::cout <<
-      "ddpm_sim — DDoS source-identification scenario driver\n\n"
-      "cluster options:\n"
-      "  --topology SPEC      mesh:AxB[xC] | torus:AxB[xC] | hypercube:N\n"
-      "                       (default torus:8x8)\n"
-      "  --router NAME        dor|xy|west-first|north-last|negative-first|\n"
-      "                       adaptive|adaptive-misroute|oracle (default adaptive)\n"
-      "  --scheme NAME        ddpm|dpm|ppm-full|ppm-xor|ppm-bitdiff|none\n"
-      "                       (default ddpm; also used as the identifier)\n"
-      "  --pattern NAME       uniform|transpose|complement|bit-reverse|hotspot\n"
-      "  --benign-rate R      benign packets/tick/node (default 0.0003)\n"
-      "  --seed N             RNG seed (default 42)\n"
-      "  --ingress-filter     enable RFC 2267 filtering at source switches\n\n"
-      "attack options:\n"
-      "  --attack KIND        none|udp-flood|syn-flood|worm|reflector\n"
-      "                       (default udp-flood)\n"
-      "  --victim N           victim node id (default: last node)\n"
-      "  --zombies N          number of compromised nodes (default 4)\n"
-      "  --attack-rate R      attack packets/tick/zombie (default 0.01)\n"
-      "  --spoof NAME         none|random-cluster|random-any|victim-reflect\n"
-      "  --attack-start T     attack start tick (default 50000)\n\n"
-      "pipeline options:\n"
-      "  --detector NAME      rate-threshold|entropy|cusum|syn-half-open|\n"
-      "                       sketch-entropy|heavy-hitter|sketch-cusum\n"
-      "                       (default rate-threshold; sketch-* run in\n"
-      "                       bounded memory, see docs/STREAMING.md)\n"
-      "  --threshold R        detection rate threshold (default 0.005)\n"
-      "  --pulse-period T     pulsing attack period (0 = continuous)\n"
-      "  --pulse-duty R       on-fraction of each pulse period\n"
-      "  --no-block           identify only, do not block\n"
-      "  --classifier-fp R    classifier false-positive rate (default 0)\n"
-      "  --duration T         simulated ticks (default 400000)\n"
-      "  --repeat N           run N seeds and report aggregate statistics\n"
-      "  --json               emit the config+report as JSON on stdout\n"
-      "  --trace FILE         write a Chrome trace_event JSON of the run\n"
-      "                       (open in chrome://tracing or Perfetto)\n"
-      "  --metrics FILE       write the telemetry registry snapshot as JSON\n"
-      "                       (works with --repeat: replications merged)\n"
-      "  --delivery-log FILE  write a CSV log of victim deliveries\n"
-      "  --dot FILE           write a Graphviz attack graph of verdicts\n";
-}
-
-attack::AttackKind parse_kind(const std::string& s) {
-  if (s == "none") return attack::AttackKind::kNone;
-  if (s == "udp-flood") return attack::AttackKind::kUdpFlood;
-  if (s == "syn-flood") return attack::AttackKind::kSynFlood;
-  if (s == "worm") return attack::AttackKind::kWorm;
-  if (s == "reflector") return attack::AttackKind::kReflector;
-  throw std::invalid_argument("unknown attack kind: " + s);
-}
-
-attack::SpoofStrategy parse_spoof(const std::string& s) {
-  if (s == "none") return attack::SpoofStrategy::kNone;
-  if (s == "random-cluster") return attack::SpoofStrategy::kRandomCluster;
-  if (s == "random-any") return attack::SpoofStrategy::kRandomAny;
-  if (s == "victim-reflect") return attack::SpoofStrategy::kVictimReflect;
-  throw std::invalid_argument("unknown spoof strategy: " + s);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace ddpm;
+  using attack::AttackKind;
+  using attack::SpoofStrategy;
   core::ScenarioConfig config;
   config.cluster.topology = "torus:8x8";
   config.cluster.router = "adaptive";
@@ -101,87 +36,79 @@ int main(int argc, char** argv) {
   config.duration = 400000;
 
   std::size_t zombie_count = 4;
-  bool victim_given = false;
+  std::optional<topo::NodeId> victim_arg;
+  bool no_block = false;
   bool json_output = false;
   std::string trace_path;
   std::string metrics_path;
   std::string delivery_log_path;
   std::string dot_path;
-  std::size_t repeat = 0;
+  std::optional<std::size_t> repeat;
+
+  core::Cli cli("ddpm_sim — run one DDoS source-identification scenario");
+  cli.text("--topology", config.cluster.topology, "SPEC",
+           "mesh:AxB[xC] | torus:AxB[xC] | hypercube:N");
+  cli.text("--router", config.cluster.router, "NAME",
+           "dor|xy|west-first|north-last|negative-first|adaptive|"
+           "adaptive-misroute|oracle");
+  cli.text("--scheme", config.cluster.scheme, "NAME",
+           "ddpm|dpm|ppm-full|ppm-xor|ppm-bitdiff|none (also the identifier)");
+  cli.text("--pattern", config.cluster.pattern, "NAME",
+           "uniform|transpose|complement|bit-reverse|hotspot");
+  cli.number("--benign-rate", config.cluster.benign_rate_per_node, "R",
+             "benign packets/tick/node", 0);
+  cli.number("--seed", config.cluster.seed, "N", "RNG seed");
+  cli.toggle("--ingress-filter", config.cluster.ingress_filtering,
+             "RFC 2267 filtering at source switches");
+  cli.choice("--attack", config.attack.kind,
+             {{"none", AttackKind::kNone}, {"udp-flood", AttackKind::kUdpFlood},
+              {"syn-flood", AttackKind::kSynFlood}, {"worm", AttackKind::kWorm},
+              {"reflector", AttackKind::kReflector}},
+             "KIND", "attack kind");
+  cli.number("--victim", victim_arg, "N",
+             "victim node id (default: last node)");
+  cli.number("--zombies", zombie_count, "N", "number of compromised nodes");
+  cli.number("--attack-rate", config.attack.rate_per_zombie, "R",
+             "attack packets/tick/zombie", 0);
+  cli.choice("--spoof", config.attack.spoof,
+             {{"none", SpoofStrategy::kNone},
+              {"random-cluster", SpoofStrategy::kRandomCluster},
+              {"random-any", SpoofStrategy::kRandomAny},
+              {"victim-reflect", SpoofStrategy::kVictimReflect}},
+             "NAME", "source spoofing");
+  cli.number("--attack-start", config.attack.start_time, "T",
+             "attack start tick");
+  cli.text("--detector", config.detector, "NAME",
+           "rate-threshold|entropy|cusum|syn-half-open|sketch-entropy|"
+           "heavy-hitter|sketch-cusum (sketch-*: docs/STREAMING.md)");
+  cli.number("--threshold", config.detect_rate_threshold, "R",
+             "detection rate threshold", 0);
+  cli.number("--pulse-period", config.attack.pulse_period, "T",
+             "pulsing attack period (0 = continuous)");
+  cli.number("--pulse-duty", config.attack.pulse_duty, "R",
+             "on-fraction of each pulse period", 0, 1);
+  cli.toggle("--no-block", no_block, "identify only, do not block");
+  cli.number("--classifier-fp", config.classifier_false_positive_rate, "R",
+             "classifier false-positive rate", 0, 1);
+  cli.number("--duration", config.duration, "T", "simulated ticks", 1);
+  cli.number("--repeat", repeat, "N", "run N seeds, report aggregates", 1);
+  cli.toggle("--json", json_output, "emit the config+report as JSON");
+  cli.text("--trace", trace_path, "FILE",
+           "write a Chrome trace_event JSON (chrome://tracing, Perfetto)");
+  cli.text("--metrics", metrics_path, "FILE",
+           "write the telemetry snapshot as JSON (merged with --repeat)");
+  cli.text("--delivery-log", delivery_log_path, "FILE",
+           "write a CSV log of victim deliveries");
+  cli.text("--dot", dot_path, "FILE", "write a Graphviz attack graph");
 
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&]() -> std::string {
-        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--help" || arg == "-h") {
-        usage();
-        return 0;
-      } else if (arg == "--topology") {
-        config.cluster.topology = value();
-      } else if (arg == "--router") {
-        config.cluster.router = value();
-      } else if (arg == "--scheme") {
-        config.cluster.scheme = value();
-        config.identifier = config.cluster.scheme;
-      } else if (arg == "--pattern") {
-        config.cluster.pattern = value();
-      } else if (arg == "--detector") {
-        config.detector = value();
-      } else if (arg == "--benign-rate") {
-        config.cluster.benign_rate_per_node = std::stod(value());
-      } else if (arg == "--seed") {
-        config.cluster.seed = std::stoull(value());
-      } else if (arg == "--ingress-filter") {
-        config.cluster.ingress_filtering = true;
-      } else if (arg == "--attack") {
-        config.attack.kind = parse_kind(value());
-      } else if (arg == "--victim") {
-        config.attack.victim = topo::NodeId(std::stoul(value()));
-        victim_given = true;
-      } else if (arg == "--zombies") {
-        zombie_count = std::stoul(value());
-      } else if (arg == "--attack-rate") {
-        config.attack.rate_per_zombie = std::stod(value());
-      } else if (arg == "--spoof") {
-        config.attack.spoof = parse_spoof(value());
-      } else if (arg == "--attack-start") {
-        config.attack.start_time = std::stoull(value());
-      } else if (arg == "--pulse-period") {
-        config.attack.pulse_period = std::stoull(value());
-      } else if (arg == "--pulse-duty") {
-        config.attack.pulse_duty = std::stod(value());
-      } else if (arg == "--threshold") {
-        config.detect_rate_threshold = std::stod(value());
-      } else if (arg == "--no-block") {
-        config.auto_block = false;
-      } else if (arg == "--classifier-fp") {
-        config.classifier_false_positive_rate = std::stod(value());
-      } else if (arg == "--duration") {
-        config.duration = std::stoull(value());
-      } else if (arg == "--json") {
-        json_output = true;
-      } else if (arg == "--trace") {
-        trace_path = value();
-      } else if (arg == "--metrics") {
-        metrics_path = value();
-      } else if (arg == "--delivery-log") {
-        delivery_log_path = value();
-      } else if (arg == "--dot") {
-        dot_path = value();
-      } else if (arg == "--repeat") {
-        repeat = std::stoul(value());
-      } else {
-        throw std::invalid_argument("unknown option: " + arg +
-                                    " (try --help)");
-      }
-    }
+    if (!cli.parse(argc, argv, std::cout)) return 0;
+    config.identifier = config.cluster.scheme;
+    if (no_block) config.auto_block = false;
 
     // Late resolution: victim and zombies depend on the topology size.
     const auto probe = topo::make_topology(config.cluster.topology);
-    if (!victim_given) config.attack.victim = probe->num_nodes() - 1;
+    config.attack.victim = victim_arg.value_or(probe->num_nodes() - 1);
     if (config.attack.kind != attack::AttackKind::kNone) {
       netsim::Rng rng(config.cluster.seed ^ 0x20b1e5ULL);
       config.attack.zombies =
@@ -213,11 +140,11 @@ int main(int argc, char** argv) {
       }
     };
 
-    if (repeat > 0) {
+    if (repeat) {
       if (!trace_path.empty()) {
         throw std::invalid_argument("--trace needs a single run (drop --repeat)");
       }
-      const auto summary = core::run_repeated_n(config, repeat);
+      const auto summary = core::run_repeated_n(config, *repeat);
       write_metrics(summary.telemetry);
       std::cout << summary.to_string() << '\n';
       return 0;

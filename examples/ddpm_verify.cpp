@@ -21,60 +21,42 @@
 // DIR/witness_N.json (the artifact the `verify-model` CI job uploads on
 // failure). Exit status is the number of failing verdicts (0 = the design
 // space is certified).
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "verify/design_space.hpp"
 #include "verify/model/suite.hpp"
 #include "verify/width_cert.hpp"
 
-namespace {
-
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--all] [--cdg] [--invariant] [--injectivity] [--width]\n"
-               "       [--model] [--json FILE] [--markdown] "
-               "[--witness-dir DIR]\n";
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bool want_cdg = false, want_invariant = false, want_injectivity = false,
-       want_width = false, want_model = false, markdown = false;
+  bool want_all = false, want_cdg = false, want_invariant = false,
+       want_injectivity = false, want_width = false, want_model = false,
+       markdown = false;
   std::string json_path;
   std::string witness_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") {
-      want_cdg = want_invariant = want_injectivity = want_width =
-          want_model = true;
-    } else if (arg == "--cdg") {
-      want_cdg = true;
-    } else if (arg == "--invariant") {
-      want_invariant = true;
-    } else if (arg == "--injectivity") {
-      want_injectivity = true;
-    } else if (arg == "--width") {
-      want_width = true;
-    } else if (arg == "--model") {
-      want_model = true;
-    } else if (arg == "--markdown") {
-      markdown = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--witness-dir" && i + 1 < argc) {
-      witness_dir = argv[++i];
-    } else {
-      return usage(argv[0]);
-    }
+  ddpm::core::Cli cli("ddpm_verify — static design-space verifier");
+  cli.toggle("--all", want_all, "run every suite (the default)");
+  cli.toggle("--cdg", want_cdg, "channel-dependency deadlock verdicts");
+  cli.toggle("--invariant", want_invariant, "marking identity V = D - S");
+  cli.toggle("--injectivity", want_injectivity,
+             "no two sources share a field value");
+  cli.toggle("--width", want_width, "Tables 1-3 field-width certification");
+  cli.toggle("--model", want_model, "bounded model checking of the wormhole");
+  cli.text("--json", json_path, "FILE", "write the verdict table as JSON");
+  cli.toggle("--markdown", markdown, "print the tables EXPERIMENTS.md embeds");
+  cli.text("--witness-dir", witness_dir, "DIR",
+           "save each convicted model configuration's witness here");
+  try {
+    if (!cli.parse(argc, argv, std::cout)) return 0;
+  } catch (const std::invalid_argument& err) {
+    std::cerr << "ddpm_verify: " << err.what() << "\n";
+    return 2;
   }
-  if (!want_cdg && !want_invariant && !want_injectivity && !want_width &&
-      !want_model) {
+  if (want_all || (!want_cdg && !want_invariant && !want_injectivity &&
+                   !want_width && !want_model)) {
     want_cdg = want_invariant = want_injectivity = want_width = want_model =
         true;
   }

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/cli.hpp"
 #include "flow/csv.hpp"
 #include "flow/trace_gen.hpp"
 #include "stream/flow_analyzer.hpp"
@@ -38,97 +39,45 @@ struct Options {
   stream::FlowAnalyzerConfig analyzer;
 };
 
-flow::AttackShape parse_attack(const std::string& name) {
-  if (name == "none") return flow::AttackShape::kNone;
-  if (name == "flood") return flow::AttackShape::kFlood;
-  if (name == "pulse") return flow::AttackShape::kPulse;
-  if (name == "churn") return flow::AttackShape::kChurn;
-  throw std::invalid_argument("unknown attack shape: " + name);
-}
-
-void print_usage() {
-  std::cout
-      << "flow_replay [--trace flows.csv | --generate]\n"
-         "  --generate options:\n"
-         "    --sources N        distinct spoofed attack sources\n"
-         "    --benign N         distinct benign sources\n"
-         "    --attack KIND      none | flood | pulse | churn\n"
-         "    --victim ADDR      attack destination address\n"
-         "    --duration TICKS   trace length\n"
-         "    --seed N           generator seed\n"
-         "    --write-csv FILE   also write the trace as CSV\n"
-         "  analyzer options:\n"
-         "    --jobs N           worker threads (output is identical for any N)\n"
-         "    --window TICKS     tumbling-window length\n"
-         "    --shards N         structural shard count\n"
-         "  output / acceptance:\n"
-         "    --json             print the full report as JSON\n"
-         "    --expect-detect    exit 1 unless an alarm fired\n"
-         "    --expect-victim    exit 1 unless the victim was named correctly\n"
-         "    --max-memory B     exit 1 if sketch memory exceeds B bytes\n";
-}
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      opt.trace_path = value();
-    } else if (arg == "--generate") {
-      opt.generate = true;
-    } else if (arg == "--write-csv") {
-      opt.write_csv = value();
-    } else if (arg == "--sources") {
-      opt.gen.attack_sources = std::uint32_t(std::stoul(value()));
-    } else if (arg == "--benign") {
-      opt.gen.benign_sources = std::uint32_t(std::stoul(value()));
-    } else if (arg == "--attack") {
-      opt.gen.attack = parse_attack(value());
-    } else if (arg == "--victim") {
-      opt.gen.victim = std::uint32_t(std::stoul(value()));
-    } else if (arg == "--duration") {
-      opt.gen.duration = std::stoull(value());
-    } else if (arg == "--seed") {
-      opt.gen.seed = std::stoull(value());
-    } else if (arg == "--jobs") {
-      opt.analyzer.jobs = std::stoul(value());
-    } else if (arg == "--window") {
-      opt.analyzer.window = std::stoull(value());
-    } else if (arg == "--shards") {
-      opt.analyzer.shards = std::uint32_t(std::stoul(value()));
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (arg == "--expect-detect") {
-      opt.expect_detect = true;
-    } else if (arg == "--expect-victim") {
-      opt.expect_victim = true;
-    } else if (arg == "--max-memory") {
-      opt.max_memory = std::stoul(value());
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else {
-      throw std::invalid_argument("unknown option: " + arg);
-    }
-  }
-  if (opt.generate && !opt.trace_path.empty()) {
-    throw std::invalid_argument("--trace and --generate are exclusive");
-  }
-  if (!opt.generate && opt.trace_path.empty()) {
-    throw std::invalid_argument("pass either --trace FILE or --generate");
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  Options opt;
+  core::Cli cli("flow_replay — flow-trace replay through the sketch analyzer");
+  cli.text("--trace", opt.trace_path, "FILE", "ingest this CSV flow trace");
+  cli.toggle("--generate", opt.generate, "synthesize the trace instead");
+  cli.number("--sources", opt.gen.attack_sources, "N",
+             "distinct spoofed attack sources");
+  cli.number("--benign", opt.gen.benign_sources, "N", "benign sources");
+  cli.choice("--attack", opt.gen.attack,
+             {{"none", flow::AttackShape::kNone},
+              {"flood", flow::AttackShape::kFlood},
+              {"pulse", flow::AttackShape::kPulse},
+              {"churn", flow::AttackShape::kChurn}},
+             "KIND", "attack shape");
+  cli.number("--victim", opt.gen.victim, "ADDR", "attack destination address");
+  cli.number("--duration", opt.gen.duration, "TICKS", "trace length", 1);
+  cli.number("--seed", opt.gen.seed, "N", "generator seed");
+  cli.text("--write-csv", opt.write_csv, "FILE", "also write the trace as CSV");
+  cli.number("--jobs", opt.analyzer.jobs, "N",
+             "worker threads (output is identical for any N)", 1);
+  cli.number("--window", opt.analyzer.window, "TICKS", "window length", 1);
+  cli.number("--shards", opt.analyzer.shards, "N", "structural shard count", 1);
+  cli.toggle("--json", opt.json, "print the full report as JSON");
+  cli.toggle("--expect-detect", opt.expect_detect,
+             "exit 1 unless an alarm fired");
+  cli.toggle("--expect-victim", opt.expect_victim,
+             "exit 1 unless the victim was named correctly");
+  cli.number("--max-memory", opt.max_memory, "B",
+             "exit 1 if sketch memory exceeds B bytes (0 = unchecked)");
   try {
-    Options opt = parse(argc, argv);
+    if (!cli.parse(argc, argv, std::cout)) return 0;
+    if (opt.generate && !opt.trace_path.empty()) {
+      throw std::invalid_argument("--trace and --generate are exclusive");
+    }
+    if (!opt.generate && opt.trace_path.empty()) {
+      throw std::invalid_argument("pass either --trace FILE or --generate");
+    }
 
     // An attack that should exhibit N distinct sources must emit at least
     // N attack flows: scale the rate so the flood covers its source pool

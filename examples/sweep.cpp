@@ -12,68 +12,27 @@
 //       (continued:) --routers dor,adaptive --rates 0.002,0.01 --seeds 5
 #include <fstream>
 #include <iostream>
-#include <sstream>
-#include <vector>
 
+#include "core/cli.hpp"
 #include "core/sweep_grid.hpp"
 
-namespace {
-
-using namespace ddpm;
-
-std::vector<std::string> split(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<double> split_doubles(const std::string& text) {
-  std::vector<double> out;
-  for (const auto& item : split(text)) out.push_back(std::stod(item));
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace ddpm;
   core::SweepSpec spec;
   std::string metrics_path;
 
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&]() -> std::string {
-        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--topologies") {
-        spec.topologies = split(value());
-      } else if (arg == "--schemes") {
-        spec.schemes = split(value());
-      } else if (arg == "--routers") {
-        spec.routers = split(value());
-      } else if (arg == "--rates") {
-        spec.rates = split_doubles(value());
-      } else if (arg == "--seeds") {
-        spec.seeds = std::stoul(value());
-      } else if (arg == "--jobs") {
-        spec.jobs = std::stoul(value());
-      } else if (arg == "--metrics") {
-        metrics_path = value();
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << "sweep --topologies a,b --schemes a,b --routers a,b "
-                     "--rates r1,r2 --seeds N --jobs N "
-                     "[--metrics telemetry.json]\n";
-        return 0;
-      } else {
-        throw std::invalid_argument("unknown option: " + arg);
-      }
-    }
+  core::Cli cli("sweep — grid experiments, one CSV row per cell");
+  cli.list("--topologies", spec.topologies, "A,B", "topology specs");
+  cli.list("--schemes", spec.schemes, "A,B", "marking schemes");
+  cli.list("--routers", spec.routers, "A,B", "routing algorithms");
+  cli.list("--rates", spec.rates, "R1,R2", "attack packets/tick/zombie", 0);
+  cli.number("--seeds", spec.seeds, "N", "replications per cell", 1);
+  cli.number("--jobs", spec.jobs, "N", "worker threads", 1);
+  cli.text("--metrics", metrics_path, "FILE",
+           "write each cell's merged telemetry as JSON");
 
+  try {
+    if (!cli.parse(argc, argv, std::cout)) return 0;
     const auto cells = core::run_sweep(spec);
     std::cout << core::sweep_csv(cells);
     if (!metrics_path.empty()) {

@@ -1,26 +1,15 @@
 #include "flow/csv.hpp"
 
 #include <array>
-#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "core/parse_number.hpp"
+
 namespace ddpm::flow {
 
 namespace {
-
-/// Strict unsigned-decimal field parse: the whole field must be digits and
-/// fit the destination type. std::from_chars is locale-free and never
-/// allocates.
-template <typename T>
-bool parse_field(std::string_view field, T& out) {
-  if (field.empty()) return false;
-  const char* first = field.data();
-  const char* last = first + field.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
 
 /// Splits the next field off `line` into `out` and shrinks `line` to the
 /// tail; `more` reports whether a comma was consumed. A field wrapped in
@@ -83,10 +72,12 @@ bool parse_csv_line(std::string_view line, FlowRecord& out) {
   if (more && !line.empty()) return false;
   FlowRecord r;
   std::uint32_t proto = 0;
-  if (!parse_field(fields[0], r.src) || !parse_field(fields[1], r.dst) ||
-      !parse_field(fields[2], r.bytes) || !parse_field(fields[3], r.packets) ||
-      !parse_field(fields[4], r.first_ts) ||
-      !parse_field(fields[5], r.last_ts) || !parse_field(fields[6], proto) ||
+  using core::parse_number;
+  if (!parse_number(fields[0], r.src) || !parse_number(fields[1], r.dst) ||
+      !parse_number(fields[2], r.bytes) ||
+      !parse_number(fields[3], r.packets) ||
+      !parse_number(fields[4], r.first_ts) ||
+      !parse_number(fields[5], r.last_ts) || !parse_number(fields[6], proto) ||
       proto > 255 || fields[7].empty()) {
     return false;
   }

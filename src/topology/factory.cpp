@@ -1,9 +1,9 @@
 #include "topology/factory.hpp"
 
-#include <charconv>
 #include <stdexcept>
 #include <vector>
 
+#include "core/parse_number.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "topology/torus.hpp"
@@ -14,8 +14,7 @@ namespace {
 
 int parse_int(std::string_view text) {
   int value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
+  if (!core::parse_number(text, value)) {
     throw std::invalid_argument("make_topology: bad integer in spec");
   }
   return value;

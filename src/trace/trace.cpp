@@ -1,10 +1,11 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "core/parse_number.hpp"
 
 namespace ddpm::trace {
 
@@ -56,9 +57,8 @@ std::vector<std::uint64_t> parse_row(const std::string& line) {
     const std::size_t comma = line.find(',', start);
     const std::size_t end = comma == std::string::npos ? line.size() : comma;
     std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(line.data() + start, line.data() + end, value);
-    if (ec != std::errc() || ptr != line.data() + end) {
+    if (!core::parse_number(
+            std::string_view(line).substr(start, end - start), value)) {
       throw std::invalid_argument("trace: malformed field in row: " + line);
     }
     fields.push_back(value);

@@ -3,10 +3,13 @@
 // pin the event queue against std::multimap.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <type_traits>
 
 #include <sstream>
 
+#include "core/parse_number.hpp"
 #include "hybrid/hybrid.hpp"
 #include "indirect/port_stamp.hpp"
 #include "irregular/irregular.hpp"
@@ -238,6 +241,41 @@ TEST(Fuzz, TraceParserNeverCrashesOnMangledRows) {
       // expected for malformed rows
     }
   }
+}
+
+/// parse_number on `text` as a T; when accepted, the printed value must
+/// parse back to exactly the same number. Returns whether it accepted.
+template <typename T>
+bool parses_and_round_trips(const std::string& text) {
+  T value{};
+  if (!core::parse_number(text, value)) return false;
+  T again{};
+  EXPECT_TRUE(core::parse_number(core::format_number(value), again)) << text;
+  EXPECT_EQ(again, value) << text;
+  if constexpr (std::is_floating_point_v<T>) {
+    EXPECT_TRUE(std::isfinite(value)) << text;
+  }
+  return true;
+}
+
+TEST(Fuzz, ParseNumberNeverCrashesAndRoundTrips) {
+  netsim::Rng rng(12);
+  int accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string text;
+    const auto len = rng.next_below(24);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      // Mostly number-shaped characters, with a tail of arbitrary bytes.
+      const char chars[] = "0123456789-+.eEinfaINx ";
+      text += rng.next_bool(0.9) ? chars[rng.next_below(sizeof(chars) - 1)]
+                                 : char(rng.next_below(256));
+    }
+    accepted += parses_and_round_trips<std::uint32_t>(text);
+    accepted += parses_and_round_trips<std::uint64_t>(text);
+    accepted += parses_and_round_trips<int>(text);
+    accepted += parses_and_round_trips<double>(text);
+  }
+  EXPECT_GT(accepted, 1000) << "the generator should reach the accept path";
 }
 
 TEST(Fuzz, CodecDecodeEncodeStable) {

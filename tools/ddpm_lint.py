@@ -48,7 +48,16 @@ clang-tidy knows about (registered as the `repo_lint` ctest):
                      promises not to have, so every mutable static there
                      must itself carry DDPM_SHARD_STATE on its line (or a
                      reviewed allow). Const/constexpr statics are exempt.
- 10. required-docs   the tracked top-level documents (README.md,
+ 10. raw-number-parse
+                     no string->number conversion (std::sto*, strto*,
+                     atoi/atol/atof, sscanf, from_chars) in src/, examples/
+                     or bench/ outside src/core/parse_number.hpp. Every
+                     number read from text goes through core::parse_number
+                     (strict: whole string, fits the type, no sign wrap, no
+                     NaN/inf), and every flag through core::Cli, so one
+                     parser decides what input is valid. perfbench/ is
+                     frozen with BENCHMARK.json and is not scanned.
+ 11. required-docs   the tracked top-level documents (README.md,
                      ROADMAP.md, CHANGES.md, ISSUE.md, EXPERIMENTS.md,
                      DESIGN.md, PAPER.md) and docs/ARCHITECTURE.md exist
                      and are non-empty. Sessions hand work to each other
@@ -80,10 +89,11 @@ ALLOW = re.compile(r"ddpm-lint:\s*allow\(([\w-]+)\)")
 KNOWN_RULES = frozenset({
     "pragma-once", "rng-containment", "float-compare", "header-io",
     "no-using-std", "netsim-no-std-function", "src-no-console",
-    "stream-no-ingest", "shard-state-statics", "required-docs",
+    "stream-no-ingest", "shard-state-statics", "raw-number-parse",
+    "required-docs",
 })
 
-# Documents every session relies on finding; see rule 8 in the docstring.
+# Required top-level documents; see rule 11 in the docstring.
 REQUIRED_DOCS = (
     "README.md", "ROADMAP.md", "CHANGES.md", "ISSUE.md", "EXPERIMENTS.md",
     "DESIGN.md", "PAPER.md", "docs/ARCHITECTURE.md",
@@ -263,15 +273,21 @@ def check_using_namespace_std(root: Path) -> list[Violation]:
     return out
 
 
+# Any string->number conversion call; shared by stream-no-ingest and
+# raw-number-parse.
+NUMBER_PARSE = (
+    r"(?:(?<![\w:])|std\s*::\s*)"
+    r"(?:sto(?:i|l|ll|ul|ull|f|d|ld)|from_chars|"
+    r"strto(?:l|ll|ul|ull|f|d|ld|imax|umax)|ato(?:i|l|ll|f)|sscanf)\s*\("
+)
+
 # Input-side machinery only: <sstream> stays legal because StreamReport
 # serializes itself with an ostringstream — the rule guards ingestion, not
 # output formatting.
 STREAM_INGEST = re.compile(
     r"#\s*include\s*<(?:fstream|charconv|cstdio|stdio\.h)>"
     r"|\b(?:ifstream|fstream|istringstream)\b"
-    r"|(?:(?<![\w:])|std\s*::\s*)"
-    r"(?:stoi|stoul|stoull|stol|stoll|stod|stof|from_chars|"
-    r"strtol|strtoul|strtod|atoi|atol|sscanf)\s*\("
+    r"|" + NUMBER_PARSE
 )
 
 
@@ -286,6 +302,27 @@ def check_stream_no_ingest(root: Path) -> list[Violation]:
                     (path, n, "stream-no-ingest",
                      "file/string ingestion in src/stream; parsing belongs"
                      " in src/flow, sketches consume FlowRecord structs")
+                )
+    return out
+
+
+RAW_NUMBER_PARSE = re.compile(NUMBER_PARSE)
+
+
+def check_raw_number_parse(root: Path) -> list[Violation]:
+    out = []
+    for path in iter_source(root, ("src", "examples", "bench"),
+                            (".hpp", ".h", ".cpp")):
+        if path.relative_to(root).as_posix() == "src/core/parse_number.hpp":
+            continue
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if RAW_NUMBER_PARSE.search(strip_comments(line)) and not suppressed(
+                line, "raw-number-parse", path, n
+            ):
+                out.append(
+                    (path, n, "raw-number-parse",
+                     "raw string->number conversion; use core::parse_number"
+                     " (or core::Cli for flags)")
                 )
     return out
 
@@ -384,6 +421,7 @@ def main(argv: list[str]) -> int:
         check_src_no_console,
         check_stream_no_ingest,
         check_shard_state_statics,
+        check_raw_number_parse,
         check_required_docs,
         check_stale_suppressions,  # must be last: audits the allow() comments
     ):
