@@ -12,6 +12,7 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
       topo_(topo::make_topology(config.topology)),
       addresses_(topo_->num_nodes()),
       router_(route::make_router(config.router, *topo_)),
+      routes_(*topo_, nullptr, 0),
       scheme_(mark::make_scheme(config.scheme, *topo_, config.ppm_probability,
                                 config.seed ^ 0x5eedULL)),
       pattern_(attack::make_pattern(config.pattern, *topo_)),
@@ -30,7 +31,7 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
   };
   switch_env_.arrive = [this](pkt::Packet&& p, topo::NodeId from,
                               topo::NodeId to) {
-    switches_[to].handle(std::move(p), *topo_->port_to(to, from));
+    switches_[to].handle(std::move(p), routes_.port_to(to, from));
   };
   switch_env_.link_bandwidth = config.link_bandwidth;
   switch_env_.link_latency = config.link_latency;

@@ -23,6 +23,7 @@
 #include "marking/scheme.hpp"
 #include "netsim/simulator.hpp"
 #include "packet/address_map.hpp"
+#include "routing/route_table.hpp"
 #include "routing/router.hpp"
 #include "topology/factory.hpp"
 
@@ -94,6 +95,8 @@ class ClusterNetwork {
 
   const topo::Topology& topology() const noexcept { return *topo_; }
   const route::Router& router() const noexcept { return *router_; }
+  /// Link part only (no per-(node, dest) tables).
+  const route::RouteTable& route_table() const noexcept { return routes_; }
   mark::MarkingScheme* scheme() noexcept { return scheme_.get(); }
   const pkt::AddressMap& addresses() const noexcept { return addresses_; }
   netsim::Simulator& sim() noexcept { return sim_; }
@@ -125,8 +128,9 @@ class ClusterNetwork {
    public:
     explicit QueueLinkState(const ClusterNetwork& net) : net_(net) {}
     bool link_usable(topo::NodeId node, topo::Port port) const override {
-      const auto next = net_.topo_->neighbor(node, port);
-      return next && !net_.failures_.is_failed(node, *next);
+      const topo::NodeId next = net_.routes_.neighbor(node, port);
+      return next != topo::kInvalidNode &&
+             !net_.failures_.is_failed(node, next);
     }
     double congestion(topo::NodeId node, topo::Port port) const override {
       return double(net_.switches_[node].queue_length(port));
@@ -142,6 +146,7 @@ class ClusterNetwork {
   std::unique_ptr<topo::Topology> topo_;
   pkt::AddressMap addresses_;
   std::unique_ptr<route::Router> router_;
+  route::RouteTable routes_;
   std::unique_ptr<mark::MarkingScheme> scheme_;
   std::unique_ptr<attack::TrafficPattern> pattern_;
   topo::LinkFailureSet failures_;

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "core/check.hpp"
-#include "routing/dor.hpp"
+#include "routing/route_table.hpp"
 
 namespace ddpm::verify {
 
@@ -199,18 +199,13 @@ CdgResult build_cdg(const topo::Topology& topo, const route::Router& router,
 }
 
 CdgResult build_escape_cdg(const topo::Topology& topo) {
-  const route::DimensionOrderRouter dor(topo);
-  if (topo.kind() != topo::TopologyKind::kTorus) {
-    // Mesh / hypercube escape layer is plain dimension-order on one VC.
-    return build_cdg(topo, dor, /*include_fallbacks=*/false);
-  }
-
-  // Torus: two dateline VCs per ring. Walk every (src, dst) dimension-order
-  // path; a hop is labeled with the packet's current VC class, and crossing
-  // a ring's wrap link moves the packet to class 1 for the rest of that
-  // dimension (class resets to 0 when dimension-order advances to the next
-  // dimension). This is the wormhole substrate's escape discipline.
-  const int kVcs = 2;
+  // Walk every (src, dst) escape path on the route table the wormhole
+  // engine runs. On the torus each ring splits across two dateline VCs: a
+  // hop carries the packet's current class, crossing a wrap link moves it
+  // to class 1 for the rest of that dimension, and the class resets to 0
+  // when dimension order advances. Mesh and hypercube use one VC.
+  const route::RouteTable routes(topo, nullptr, topo.num_nodes());
+  const int kVcs = topo.kind() == topo::TopologyKind::kTorus ? 2 : 1;
   const NodeId n = topo.num_nodes();
   const std::size_t channels = std::size_t(n) *
                                std::size_t(topo.num_ports()) *
@@ -235,12 +230,11 @@ CdgResult build_escape_cdg(const topo::Topology& topo) {
       while (current != dst) {
         DDPM_CHECK(++hops <= topo.diameter() + 1,
                    "dimension-order walk exceeded the diameter");
-        const auto cands = dor.candidates(current, dst, route::kLocalPort);
-        DDPM_CHECK(!cands.empty(), "dimension-order returned no port");
-        const Port p = cands.front();
-        const auto next_opt = topo.neighbor(current, p);
-        DDPM_CHECK(next_opt.has_value(), "dimension-order port has no link");
-        const NodeId next = *next_opt;
+        const Port p = routes.escape_port(current, dst);
+        DDPM_CHECK(p >= 0, "dimension-order returned no port");
+        const NodeId next = routes.neighbor(current, p);
+        DDPM_CHECK(next != topo::kInvalidNode,
+                   "dimension-order port has no link");
         const std::size_t dim = std::size_t(p) / 2;
         if (dim != current_dim) {
           current_dim = dim;
@@ -248,15 +242,7 @@ CdgResult build_escape_cdg(const topo::Topology& topo) {
         }
         const std::size_t chan = channel_id(topo, current, p, vc, kVcs);
         if (have_prev) graph.add(prev_chan, chan);
-        // Wrap detection: a positive-direction hop that decreases the
-        // coordinate (or negative-direction that increases it) crossed the
-        // dateline between k-1 and 0.
-        const topo::Coord a = topo.coord_of(current);
-        const topo::Coord b = topo.coord_of(next);
-        const int dir = (p % 2 == 0) ? -1 : +1;
-        const bool wrap =
-            (dir > 0 && b[dim] < a[dim]) || (dir < 0 && b[dim] > a[dim]);
-        if (wrap) vc = 1;
+        if (routes.wraps(current, p)) vc = 1;
         prev_chan = chan;
         have_prev = true;
         current = next;

@@ -37,7 +37,8 @@ CdgResult build_cdg(const topo::Topology& topo, const route::Router& router,
 /// substrate provides for `topo`: dimension-order routing, with each torus
 /// wrap ring split across two dateline virtual channels (packets move to
 /// the second class after crossing the wrap link — the wormhole
-/// substrate's discipline). Acyclic here + unrestricted fallback to the
+/// substrate's discipline). Escape hops and wrap flags come from the
+/// route::RouteTable the wormhole engine routes from. Acyclic here + unrestricted fallback to the
 /// escape layer is Duato's deadlock-freedom criterion for the adaptive
 /// combos.
 CdgResult build_escape_cdg(const topo::Topology& topo);

@@ -20,7 +20,6 @@ ProtoModel::ProtoModel(const ModelOptions& opt) : opt_(opt) {
   }
   topo_ = topo::make_topology(opt_.topology);
   router_ = route::make_router(opt_.router, *topo_);
-  escape_router_ = route::make_router("dor", *topo_);
   nodes_ = int(topo_->num_nodes());
   ports_ = topo_->num_ports();
   escape_vcs_ =
@@ -32,40 +31,14 @@ ProtoModel::ProtoModel(const ModelOptions& opt) : opt_(opt) {
     throw std::invalid_argument("ProtoModel: configuration out of range");
   }
 
+  // Links, wrap flags and escape hops: the table the engine routes from.
+  routes_ = std::make_unique<route::RouteTable>(*topo_, nullptr,
+                                                 topo_->num_nodes());
   const std::size_t N = std::size_t(nodes_);
   const std::size_t P = std::size_t(ports_);
-  neighbor_.assign(N * P, topo::kInvalidNode);
-  reverse_port_.assign(N * P, Port(-1));
-  wrap_link_.assign(N * P, 0);
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (Port p = 0; p < ports_; ++p) {
-      const auto nbr = topo_->neighbor(n, p);
-      if (!nbr.has_value()) continue;
-      neighbor_[std::size_t(n) * P + std::size_t(p)] = *nbr;
-      reverse_port_[std::size_t(n) * P + std::size_t(p)] =
-          *topo_->port_to(*nbr, n);
-      if (escape_vcs_ > 1) {
-        // Same dateline rule as WormholeNetwork::build_route_tables: a
-        // torus link whose coordinate delta is not +-1 wraps.
-        const std::size_t dim = std::size_t(p / 2);
-        const topo::Coord here = topo_->coord_of(n);
-        const topo::Coord there = topo_->coord_of(*nbr);
-        const int delta = int(there[dim]) - int(here[dim]);
-        if (delta != 1 && delta != -1) {
-          wrap_link_[std::size_t(n) * P + std::size_t(p)] = 1;
-        }
-      }
-    }
-  }
-
-  escape_port_.assign(N * N, Port(-1));
   cand_.assign(N * N * (P + 1), route::PortList{});
   for (NodeId n = 0; n < NodeId(N); ++n) {
     for (NodeId d = 0; d < NodeId(N); ++d) {
-      const auto esc = escape_router_->candidates(n, d, route::kLocalPort);
-      if (!esc.empty()) {
-        escape_port_[std::size_t(n) * N + std::size_t(d)] = esc.front();
-      }
       const std::size_t base = (std::size_t(n) * N + std::size_t(d)) * (P + 1);
       cand_[base + P] = router_->candidates(n, d, route::kLocalPort);
       for (Port a = 0; a < ports_; ++a) {
@@ -135,10 +108,8 @@ void ProtoModel::restore_credit(ModelState& s, NodeId node, int in_port,
                                int in_vc) const {
   if (mut(core::ModelMutation::kDropCreditReturn)) return;  // seeded bug
   if (in_port == ports_) return;  // injection queue is unbounded
-  const std::size_t link = std::size_t(node) * std::size_t(ports_) +
-                           std::size_t(in_port);
-  const NodeId up = neighbor_[link];
-  const Port up_port = reverse_port_[link];
+  const NodeId up = routes_->neighbor(node, Port(in_port));
+  const Port up_port = routes_->reverse_port(node, Port(in_port));
   std::int8_t& credits =
       s.credits[std::size_t(up) * std::size_t(out_units()) +
                 std::size_t(up_port) * std::size_t(vcs_) +
@@ -203,7 +174,7 @@ bool ProtoModel::try_allocate(ModelState& s, NodeId node, int in_port,
     return false;  // no escape lanes: wait (possibly forever — deadlock)
   }
   if (best_port < 0) {
-    const Port p = escape_port(node, dest);
+    const Port p = routes_->escape_port(node, dest);
     if (p < 0) return false;  // only possible if already at dest
     if (escape_vcs_ > 1) {
       const std::size_t dim = std::size_t(p / 2);
@@ -298,10 +269,8 @@ void ProtoModel::step(ModelState& s) const {
         // as the hooked real engine does.
         if (s.credits[oi] > 0) --s.credits[oi];
         restore_credit(s, node, int(unit) / vcs_, int(unit) % vcs_);
-        const std::size_t link = std::size_t(node) * std::size_t(ports_) +
-                                 std::size_t(out_port);
-        const NodeId next = neighbor_[link];
-        const Port next_in_port = reverse_port_[link];
+        const NodeId next = routes_->neighbor(node, out_port);
+        const Port next_in_port = routes_->reverse_port(node, out_port);
         if (flit.tail) {
           s.allocated[oi] = 0;
           s.active[gi] = 0;
@@ -358,11 +327,9 @@ bool ProtoModel::check_safety(const ModelState& s, std::string* property,
              << occ << " flits (depth " << opt_.buffer_flits << ")";
           return fail("no-overflow", os.str());
         }
-        const std::size_t link = std::size_t(n) * std::size_t(ports_) +
-                                 std::size_t(p);
-        const NodeId up = neighbor_[link];
+        const NodeId up = routes_->neighbor(n, p);
         if (up == topo::kInvalidNode) continue;
-        const Port up_port = reverse_port_[link];
+        const Port up_port = routes_->reverse_port(n, p);
         const int credits =
             int(s.credits[std::size_t(up) * std::size_t(out_units()) +
                           std::size_t(up_port) * std::size_t(vcs_) +
@@ -389,7 +356,7 @@ bool ProtoModel::check_escape_reach(std::string* why) const {
       NodeId cur = n;
       int hops = 0;
       while (cur != d) {
-        const Port p = escape_port(cur, d);
+        const Port p = routes_->escape_port(cur, d);
         if (p < 0 || hops > nodes_ * ports_) {
           if (why != nullptr) {
             std::ostringstream os;
@@ -399,7 +366,7 @@ bool ProtoModel::check_escape_reach(std::string* why) const {
           }
           return false;
         }
-        cur = link_neighbor(cur, p);
+        cur = routes_->neighbor(cur, p);
         ++hops;
       }
     }

@@ -12,7 +12,8 @@
 // on shared schedules), which is what entitles the explorer's verdicts to
 // speak about the production engine, and what witness replay re-checks on
 // every conviction (docs/VERIFICATION.md, "Bounded protocol model
-// checking").
+// checking"). The port layout and dateline rule are not re-stated: links
+// and escape hops come from the shared route::RouteTable.
 //
 // The ModelMutation knob mirrors the DDPM_MODEL_MUTATION hooks compiled
 // into the real engine (src/core/model_hooks.hpp): the same three seeded
@@ -28,6 +29,7 @@
 
 #include "core/model_hooks.hpp"
 #include "routing/port_list.hpp"
+#include "routing/route_table.hpp"
 #include "routing/router.hpp"
 #include "topology/topology.hpp"
 
@@ -99,7 +101,7 @@ struct ModelProjection {
 
 class ProtoModel {
  public:
-  /// Builds the topology, router, and flat link/candidate tables. Throws
+  /// Builds the topology, router, route table and candidate table. Throws
   /// std::invalid_argument when the factories reject the combo.
   explicit ProtoModel(const ModelOptions& opt);
 
@@ -151,25 +153,16 @@ class ProtoModel {
 
   ModelProjection project(const ModelState& s) const;
 
-  // Flat tables, exposed for the symmetry-group validator.
-  NodeId link_neighbor(NodeId n, Port p) const noexcept {
-    return neighbor_[std::size_t(n) * std::size_t(ports_) + std::size_t(p)];
-  }
-  Port link_reverse(NodeId n, Port p) const noexcept {
-    return reverse_port_[std::size_t(n) * std::size_t(ports_) +
-                         std::size_t(p)];
-  }
+  // Tables, exposed for the symmetry-group validator. Links and escape
+  // hops are the shared route::RouteTable the engine routes from.
+  const route::RouteTable& routes() const noexcept { return *routes_; }
+  /// Dateline wrap flag; the dateline exists only with two escape classes.
   bool link_wrap(NodeId n, Port p) const noexcept {
-    return wrap_link_[std::size_t(n) * std::size_t(ports_) +
-                      std::size_t(p)] != 0;
+    return escape_vcs_ > 1 && routes_->wraps(n, p);
   }
   /// Adaptive candidates for (node, dest, arrived_on); arrived_on may be
   /// route::kLocalPort.
   const route::PortList& cand(NodeId n, NodeId d, Port arrived_on) const;
-  Port escape_port(NodeId n, NodeId d) const noexcept {
-    return escape_port_[std::size_t(n) * std::size_t(nodes_) +
-                        std::size_t(d)];
-  }
 
  private:
   int unit_of(int port, int vc) const noexcept { return port * vcs_ + vc; }
@@ -185,15 +178,12 @@ class ProtoModel {
   ModelOptions opt_;
   std::unique_ptr<topo::Topology> topo_;
   std::unique_ptr<route::Router> router_;
-  std::unique_ptr<route::Router> escape_router_;
+  std::unique_ptr<route::RouteTable> routes_;
   int nodes_ = 0;
   int ports_ = 0;
   int vcs_ = 0;
   int escape_vcs_ = 0;
-  std::vector<NodeId> neighbor_;        // N * P
-  std::vector<Port> reverse_port_;      // N * P
-  std::vector<std::uint8_t> wrap_link_; // N * P
-  std::vector<Port> escape_port_;       // N * N
+  /// The model's own statement of adaptive routing, per arrival port.
   std::vector<route::PortList> cand_;   // N * N * (P + 1), arrival-indexed
   std::vector<std::pair<int, int>> pairs_;
 };

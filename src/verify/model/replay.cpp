@@ -1,10 +1,10 @@
 #include "verify/model/replay.hpp"
 
-#include <cstring>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/model_hooks.hpp"
+#include "core/parse_number.hpp"
 #include "packet/packet.hpp"
 #include "routing/router.hpp"
 #include "topology/factory.hpp"
@@ -20,6 +20,15 @@ namespace {
 /// stuck state stays stuck.
 constexpr std::uint64_t kProgressProbeCycles = 1500;
 constexpr std::uint64_t kDeadlockStallThreshold = 1000;
+
+/// Parses "inject SRC DST": exactly two node ids, nothing else.
+bool parse_inject(std::string_view e, topo::NodeId& src, topo::NodeId& dst) {
+  const std::size_t first = e.find(' ');
+  const std::size_t last = e.rfind(' ');
+  return e.substr(0, first) == "inject" && first != last &&
+         core::parse_number(e.substr(first + 1, last - first - 1), src) &&
+         core::parse_number(e.substr(last + 1), dst);
+}
 
 int mutation_from_name(const std::string& name) {
   for (int m = 0; m < 4; ++m) {
@@ -73,21 +82,14 @@ ReplayResult replay_witness(const ModelWitness& w) {
   for (const std::string& event : w.events) {
     if (event == "step") {
       net.step();
-    } else if (event.rfind("inject ", 0) == 0) {
-      std::istringstream is(event.substr(7));
-      int src = -1, dst = -1;
-      is >> src >> dst;
-      if (src < 0 || dst < 0 || topo::NodeId(src) >= topo->num_nodes() ||
-          topo::NodeId(dst) >= topo->num_nodes()) {
-        result.detail = "malformed witness event '" + event + "'";
-        violated = false;
-        break;
-      }
+    } else if (topo::NodeId src = 0, dst = 0;
+               parse_inject(event, src, dst) && src < topo->num_nodes() &&
+               dst < topo->num_nodes()) {
       pkt::Packet packet;
-      packet.dest_node = topo::NodeId(dst);
-      packet.true_source = topo::NodeId(src);
+      packet.dest_node = dst;
+      packet.true_source = src;
       packet.payload_bytes = payload;
-      net.inject(std::move(packet), topo::NodeId(src));
+      net.inject(std::move(packet), src);
     } else {
       result.detail = "malformed witness event '" + event + "'";
       break;

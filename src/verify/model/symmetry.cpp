@@ -69,14 +69,15 @@ bool SymmetryGroup::validates(const ProtoModel& m, const SymElem& e) const {
   // Link tables must commute exactly.
   for (NodeId n = 0; n < NodeId(N); ++n) {
     for (Port p = 0; p < P; ++p) {
-      const NodeId nbr = m.link_neighbor(n, p);
-      const NodeId img_nbr = m.link_neighbor(pn(n), pp(p));
+      const NodeId nbr = m.routes().neighbor(n, p);
+      const NodeId img_nbr = m.routes().neighbor(pn(n), pp(p));
       if (nbr == topo::kInvalidNode) {
         if (img_nbr != topo::kInvalidNode) return false;
         continue;
       }
       if (img_nbr != pn(nbr)) return false;
-      if (m.link_reverse(pn(n), pp(p)) != pp(m.link_reverse(n, p))) {
+      if (m.routes().reverse_port(pn(n), pp(p)) !=
+          pp(m.routes().reverse_port(n, p))) {
         return false;
       }
       if (m.link_wrap(pn(n), pp(p)) != m.link_wrap(n, p)) return false;
@@ -86,8 +87,8 @@ bool SymmetryGroup::validates(const ProtoModel& m, const SymElem& e) const {
   for (NodeId n = 0; n < NodeId(N); ++n) {
     for (NodeId d = 0; d < NodeId(N); ++d) {
       if (n == d) continue;
-      const Port esc = m.escape_port(n, d);
-      const Port img_esc = m.escape_port(pn(n), pn(d));
+      const Port esc = m.routes().escape_port(n, d);
+      const Port img_esc = m.routes().escape_port(pn(n), pn(d));
       if (esc < 0 ? img_esc >= 0 : img_esc != pp(esc)) return false;
       for (Port a = -1; a < P; ++a) {
         std::vector<int> mapped;

@@ -14,15 +14,15 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
                                  const route::Router& router,
                                  mark::MarkingScheme* scheme,
                                  WormholeConfig config)
-    : topo_(topo),
-      router_(router),
-      escape_router_(topo),
+    : router_(router),
       scheme_(scheme),
       config_(config),
       escape_vcs_(config.disable_escape
                       ? 0
                       : (topo.kind() == topo::TopologyKind::kTorus ? 2 : 1)),
-      rng_(config.seed) {
+      num_nodes_(int(topo.num_nodes())),
+      num_ports_(topo.num_ports()),
+      table_(topo, &router, config.route_table_max_nodes) {
   // Factory deadlock gate (routing/deadlock.hpp): a blocking substrate
   // must carry the escape VCs the routing declaration demands. The
   // `disable_escape` negative control opts out explicitly — it exists to
@@ -30,13 +30,16 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
   if (!config.disable_escape) {
     route::require_deadlock_safe(router, escape_vcs_ > 0);
   }
-  num_nodes_ = int(topo.num_nodes());
-  num_ports_ = topo.num_ports();
   const int V = total_vcs();
   if (!config_.use_soa_engine) {
     throw std::invalid_argument(
         "WormholeConfig::use_soa_engine = false is not supported: the "
         "structure-of-arrays engine is the only wormhole engine");
+  }
+  if (!config_.use_route_tables) {
+    throw std::invalid_argument(
+        "WormholeConfig::use_route_tables = false is not supported: set "
+        "route_table_max_nodes = 0 to route through the virtual interface");
   }
   units_ = (num_ports_ + 1) * V;
   switch_units_ = num_ports_ * V;
@@ -49,7 +52,6 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
   }
   DDPM_CHECK(config_.buffer_flits > 0 && config_.buffer_flits <= 0x7fff,
              "buffer_flits out of range for credit counters");
-  build_route_tables();
   build_units();
 }
 
@@ -86,83 +88,17 @@ void WormholeNetwork::build_units() {
   link_dst_.assign(N * std::size_t(num_ports_), LinkDst{});
   for (NodeId n = 0; n < NodeId(N); ++n) {
     for (Port p = 0; p < num_ports_; ++p) {
-      const std::size_t link = std::size_t(n) * std::size_t(num_ports_) +
-                               std::size_t(p);
-      const NodeId up = neighbor_[link];
+      const NodeId up = table_.neighbor(n, p);
       if (up == topo::kInvalidNode) continue;
-      const Port up_port = reverse_port_[link];
+      const Port up_port = table_.reverse_port(n, p);
       for (int vc = 0; vc < V; ++vc) {
         credit_slot_[std::size_t(n) * U + std::size_t(p * V + vc)] =
             std::int32_t(out_index(up, up_port, vc));
       }
-      link_dst_[link] = LinkDst{up, std::uint16_t(up_port * V)};
+      link_dst_[std::size_t(n) * std::size_t(num_ports_) + std::size_t(p)] =
+          LinkDst{up, std::uint16_t(up_port * V)};
     }
   }
-}
-
-void WormholeNetwork::build_route_tables() {
-  const std::size_t N = std::size_t(num_nodes_);
-  const std::size_t P = std::size_t(num_ports_);
-
-  // Link tables (always built — O(N*P)): the hot loop reads these instead
-  // of dispatching through the virtual Topology interface per flit.
-  neighbor_.assign(N * P, topo::kInvalidNode);
-  reverse_port_.assign(N * P, Port(-1));
-  wrap_link_.assign(N * P, 0);
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (Port p = 0; p < num_ports_; ++p) {
-      const auto nbr = topo_.neighbor(n, p);
-      if (!nbr.has_value()) continue;
-      neighbor_[std::size_t(n) * P + std::size_t(p)] = *nbr;
-      reverse_port_[std::size_t(n) * P + std::size_t(p)] = *topo_.port_to(*nbr, n);
-      if (escape_vcs_ > 1) {
-        // Dateline flag: on the torus, ports follow the cartesian
-        // convention (port = 2*dim + dir), and a link whose coordinate
-        // delta in its dimension is not +-1 is a wraparound link.
-        const std::size_t dim = std::size_t(p / 2);
-        const topo::Coord here = topo_.coord_of(n);
-        const topo::Coord there = topo_.coord_of(*nbr);
-        const int delta = int(there[dim]) - int(here[dim]);
-        if (delta != 1 && delta != -1) {
-          wrap_link_[std::size_t(n) * P + std::size_t(p)] = 1;
-        }
-      }
-    }
-  }
-
-  // Per-(node, dest) tables are O(N^2); honor the budget.
-  if (!config_.use_route_tables || N > config_.route_table_max_nodes) return;
-
-  // Escape next hop: dimension-order routing is deterministic and ignores
-  // the arrival port, so a single port per (node, dest) captures it.
-  escape_port_.assign(N * N, Port(-1));
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (NodeId d = 0; d < NodeId(N); ++d) {
-      const auto cands = escape_router_.candidates(n, d, route::kLocalPort);
-      if (!cands.empty()) {
-        escape_port_[std::size_t(n) * N + std::size_t(d)] = cands.front();
-      }
-    }
-  }
-
-  // Adaptive candidate bitmasks: only for routers that declare their
-  // candidate set arrival-invariant, and only if the declared order is
-  // verifiably ascending — mask iteration then replays the virtual
-  // candidate order bit for bit (test_wormhole RouteTableByteIdentity).
-  if (!router_.has_static_candidates() || num_ports_ > 32) return;
-  std::vector<std::uint32_t> masks(N * N, 0);
-  for (NodeId n = 0; n < NodeId(N); ++n) {
-    for (NodeId d = 0; d < NodeId(N); ++d) {
-      const auto cands = router_.candidates(n, d, route::kLocalPort);
-      Port prev = -1;
-      for (Port p : cands) {
-        if (p <= prev || p < 0 || p >= num_ports_) return;  // not ascending
-        prev = p;
-        masks[std::size_t(n) * N + std::size_t(d)] |= (1u << unsigned(p));
-      }
-    }
-  }
-  cand_mask_ = std::move(masks);
 }
 
 void WormholeNetwork::inject(pkt::Packet&& packet, NodeId src) {
@@ -262,11 +198,9 @@ bool WormholeNetwork::check_protocol_invariants(std::string* why) const {
         // Credit conservation per link/VC: the upstream neighbor's credit
         // counter for the output VC feeding this buffer, plus the flits
         // sitting in the buffer, must equal the depth.
-        const std::size_t link =
-            std::size_t(n) * std::size_t(num_ports_) + std::size_t(p);
-        const NodeId up = neighbor_[link];
+        const NodeId up = table_.neighbor(n, p);
         if (up == topo::kInvalidNode) continue;
-        const Port up_port = reverse_port_[link];
+        const Port up_port = table_.reverse_port(n, p);
         const std::int32_t credits =
             snap.credits[std::size_t(up) * out_units +
                          std::size_t(up_port) * std::size_t(V) +
@@ -354,9 +288,8 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
   Port best_port = -1;
   int best_vc = -1;
   int best_credits = 0;
-  if (!cand_mask_.empty()) {
-    std::uint32_t mask = cand_mask_[std::size_t(node) * std::size_t(num_nodes_) +
-                                    std::size_t(packet.dest_node)];
+  if (table_.has_candidate_masks()) {
+    std::uint32_t mask = table_.candidate_mask(node, packet.dest_node);
     while (mask != 0) {
       const Port p = Port(__builtin_ctz(mask));
       mask &= mask - 1;
@@ -370,10 +303,9 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
       }
     }
   } else {
-    // Cold fallback (tables disabled or over budget, or a turn-model
-    // router without static candidates): the per-flit virtual dispatch and
-    // candidate-vector allocation this branch performs are exactly what
-    // the tables remove.
+    // Cold fallback (over the table budget, or a turn-model router without
+    // static candidates): the per-flit virtual dispatch and candidate-vector
+    // allocation this branch performs are exactly what the tables remove.
     const auto candidates = router_.candidates(  // ddpm-analyze: allow(hot-no-virtual)
         node, packet.dest_node, arrived_on);
     for (Port p : candidates) {
@@ -396,32 +328,18 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
     return false;  // no escape lanes: wait (possibly forever — deadlock)
   }
   if (best_port < 0) {
-    Port p = -1;
-    if (!escape_port_.empty()) {
-      p = escape_port_[std::size_t(node) * std::size_t(num_nodes_) +
-                       std::size_t(packet.dest_node)];
-      if (p < 0) return false;  // only possible if already at dest
-    } else {
-      // escape_router_ is a concrete member (no virtual dispatch here);
-      // the vector it returns is the cost the escape_port_ table removes.
-      const auto escape =
-          escape_router_.candidates(node, packet.dest_node, arrived_on);
-      if (escape.empty()) return false;  // only possible if already at dest
-      p = escape.front();
-    }
+    const Port p = table_.escape_port(node, packet.dest_node);
+    if (p < 0) return false;  // only possible if already at dest
     if (escape_vcs_ > 1) {
       // Torus dateline: entering a new dimension resets the class; taking
-      // the wraparound link (precomputed wrap_link_) promotes it.
+      // the wraparound link promotes it.
       const std::size_t dim = std::size_t(p / 2);
       bool same_dim_as_arrival = false;
       if (arrived_on != route::kLocalPort) {
         same_dim_as_arrival = (std::size_t(arrived_on / 2) == dim);
       }
       if (!same_dim_as_arrival) next_class = 0;
-      if (wrap_link_[std::size_t(node) * std::size_t(num_ports_) +
-                     std::size_t(p)] != 0) {
-        next_class = 1;  // wrap crossing
-      }
+      if (table_.wraps(node, p)) next_class = 1;  // wrap crossing
     }
     const int v = int(next_class);
     const OutCtl& out = out_[out_index(node, p, v)];
@@ -445,8 +363,7 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
   ctl.out_slot = std::int32_t(slot);
   req_[std::size_t(node) * std::size_t(num_ports_) + std::size_t(best_port)] |=
       (std::uint64_t(1) << unsigned(unit));
-  const NodeId next = neighbor_[std::size_t(node) * std::size_t(num_ports_) +
-                                std::size_t(best_port)];
+  const NodeId next = table_.neighbor(node, best_port);
   packet.header.decrement_ttl();
   // Scheme polymorphism is the experiment's independent variable — the
   // one virtual call the hot path keeps, by design.

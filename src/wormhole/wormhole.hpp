@@ -24,14 +24,15 @@
 // sweeps (bench_wormhole_loadlatency) and deadlock tests deterministic.
 //
 // Steady-state performance: the per-flit loop is annotated DDPM_HOT and
-// audited by the hot-path analyzer rules (docs/STATIC_ANALYSIS.md). At
-// construction the network precomputes flat tables — neighbor/reverse-port
-// per (node, port), dateline wrap flags, the escape router's
-// dimension-order next hop per (node, dest), and, for routers that declare
-// arrival-invariant candidates, the candidate port set as a bitmask per
-// (node, dest) — so the steady-state loop performs no virtual dispatch and
-// no heap allocation. Table-driven routing is byte-identical to the
-// virtual path; the `use_route_tables` toggle exists so tests can prove it.
+// audited by the hot-path analyzer rules (docs/STATIC_ANALYSIS.md). It
+// routes from a route::RouteTable (src/routing/route_table.hpp) built at
+// construction — neighbor/reverse-port and dateline wrap flag per (node,
+// port), the escape router's dimension-order next hop per (node, dest),
+// and, for routers that declare arrival-invariant candidates, the
+// candidate port set as a bitmask per (node, dest) — so the steady-state
+// loop performs no virtual dispatch and no heap allocation. Table-driven
+// routing is byte-identical to the virtual path, which
+// `route_table_max_nodes = 0` selects so tests can prove it.
 //
 // On top of the tables sits a structure-of-arrays layout: all per-unit
 // control state lives in flat UnitCtl/OutCtl records indexed by the global
@@ -51,7 +52,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include <string>
@@ -60,9 +60,8 @@
 #include "core/model_hooks.hpp"
 #include "core/ring.hpp"
 #include "marking/scheme.hpp"
-#include "netsim/rng.hpp"
 #include "packet/packet.hpp"
-#include "routing/dor.hpp"
+#include "routing/route_table.hpp"
 #include "routing/router.hpp"
 #include "telemetry/probes.hpp"
 #include "topology/topology.hpp"
@@ -100,19 +99,17 @@ struct WormholeConfig {
   /// — the experiment that shows the escape machinery is load-bearing.
   bool disable_escape = false;
   std::uint8_t initial_ttl = 255;
+  /// Not read: the network draws no random numbers. Kept declared, like
+  /// the two `true`-only flags below, because the benchmark harness
+  /// (perfbench/workloads.cpp) sets it; they go when that harness changes.
   std::uint64_t seed = 1;
-  /// Precompute per-(node, dest) routing tables at construction so the
-  /// steady-state loop never calls the virtual Router/Topology interfaces.
-  /// Off = always route through the virtual path (the reference the route
-  /// byte-identity test compares against).
+  /// Only `true` is accepted (std::invalid_argument on `false`); the
+  /// virtual reference path is `route_table_max_nodes = 0`.
   bool use_route_tables = true;
-  /// Per-(node, dest) tables are O(N^2); beyond this many nodes the
-  /// network falls back to the virtual path rather than burn memory.
+  /// Per-(node, dest) route tables are O(N^2); beyond this many nodes (and
+  /// always at 0) the network routes through the virtual Router instead.
   std::size_t route_table_max_nodes = 4096;
-  /// Only `true` is accepted: the constructor throws std::invalid_argument
-  /// on `false`. The field stays declared because the benchmark harness
-  /// (perfbench/workloads.cpp) sets and echoes it; it goes when that
-  /// harness next changes.
+  /// Only `true` is accepted (std::invalid_argument on `false`).
   bool use_soa_engine = true;
 };
 
@@ -122,7 +119,8 @@ class WormholeNetwork {
   /// uses an internal dimension-order router. `scheme` may be null.
   /// Throws std::invalid_argument when the router needs escape VCs that
   /// the config removes, when (ports + 1) * total_vcs() exceeds the 64-bit
-  /// per-node unit masks, or when use_soa_engine is false.
+  /// per-node unit masks, or when use_soa_engine or use_route_tables is
+  /// false.
   WormholeNetwork(const topo::Topology& topo, const route::Router& router,
                   mark::MarkingScheme* scheme, WormholeConfig config);
 
@@ -159,7 +157,9 @@ class WormholeNetwork {
   /// True when construction built the per-(node, dest) candidate table for
   /// `router` (arrival-invariant candidates, N within budget). Exposed so
   /// tests can assert the fast path is actually exercised.
-  bool using_route_tables() const noexcept { return !cand_mask_.empty(); }
+  bool using_route_tables() const noexcept {
+    return table_.has_candidate_masks();
+  }
 
   /// Captures the credit/VC protocol state (the model's projection).
   /// Cold by construction: the model checker's lockstep-differential test
@@ -210,10 +210,6 @@ class WormholeNetwork {
   DDPM_HOT_LAYOUT(Flit, 8, 4);
 
   int injection_port() const noexcept { return num_ports_; }
-
-  /// Builds neighbor_/reverse_port_/wrap_link_ (always) and the
-  /// per-(node, dest) escape + candidate tables (when within budget).
-  void build_route_tables();
 
   /// Per-input-unit control record, indexed by global unit id
   /// node * units_ + unit. Switch units keep their queue cursors here (the
@@ -316,29 +312,13 @@ class WormholeNetwork {
     }
   }
 
-  const topo::Topology& topo_;
   const route::Router& router_;
-  route::DimensionOrderRouter escape_router_;
   mark::MarkingScheme* scheme_;
   WormholeConfig config_;
   int escape_vcs_;
-  netsim::Rng rng_;
-
-  // Construction-time caches of the virtual Topology interface: the hot
-  // loop indexes these flat tables instead of dispatching per flit.
   int num_nodes_ = 0;
   int num_ports_ = 0;
-  std::vector<NodeId> neighbor_;        // N*P; kInvalidNode where no link
-  std::vector<Port> reverse_port_;      // N*P; port on neighbor back to node
-  std::vector<std::uint8_t> wrap_link_; // N*P; 1 = torus wraparound link
-  /// Escape next hop per (node, dest); -1 at node == dest. Dimension-order
-  /// routing is deterministic and arrival-invariant, so one port suffices.
-  std::vector<Port> escape_port_;       // N*N, or empty (fallback)
-  /// Adaptive candidate ports per (node, dest) as an ascending bitmask.
-  /// Built only when router_.has_static_candidates() and the returned
-  /// order is verified ascending, so mask iteration reproduces the virtual
-  /// candidate order bit for bit.
-  std::vector<std::uint32_t> cand_mask_; // N*N, or empty (fallback)
+  route::RouteTable table_;  // pair tables within route_table_max_nodes
   /// unit -> in_port, precomputed so the allocation pass never divides
   /// (unit / V was measurable on the cycle loop; V is runtime-sized).
   std::vector<std::int32_t> unit_port_;  // (P+1)*V

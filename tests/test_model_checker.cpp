@@ -214,6 +214,25 @@ TEST(ModelNegativeControl, SymmetryConvictionStillYieldsExactWitness) {
   EXPECT_TRUE(replay.reproduced) << replay.detail;
 }
 
+// A witness is an input file: an inject event is exactly two node ids
+// inside the fabric, and anything else is reported, not half-read.
+TEST(ModelReplay, RejectsMalformedInjectEvents) {
+  ModelWitness w;
+  w.topology = "mesh:2x2";
+  w.router = "dor";
+  w.property = "no-loss";
+  w.events = {"inject 0 3", "step"};
+  EXPECT_EQ(replay_witness(w).detail,
+            "protocol invariants held on the real network");
+  for (const char* bad : {"inject 0 1x", "inject 0 1 2", "inject -1 1",
+                          "inject 0 4", "inject 0", "inject 0  1"}) {
+    w.events = {"step", bad, "step"};
+    EXPECT_EQ(replay_witness(w).detail,
+              std::string("malformed witness event '") + bad + "'")
+        << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding: canonical bytes round-trip the dedup-relevant state exactly.
 

@@ -342,7 +342,7 @@ std::vector<DeliveryEvidence> run_traced_scenario(
   const auto router = route::make_router(router_name, *topo);
   mark::DdpmScheme scheme(*topo);
   WormholeConfig config;
-  config.use_route_tables = use_tables;
+  if (!use_tables) config.route_table_max_nodes = 0;  // virtual path
   WormholeNetwork net(*topo, *router, &scheme, config);
   EXPECT_EQ(net.using_route_tables(), use_tables);
   telemetry::Registry registry;
@@ -485,12 +485,23 @@ TEST(Wormhole, RouteTablesRespectNodeBudget) {
   const auto topo = topo::make_topology("mesh:4x4");
   const auto router = route::make_router("adaptive", *topo);
   WormholeConfig config;
-  config.route_table_max_nodes = 8;  // below the 16 nodes of mesh:4x4
+  config.route_table_max_nodes = 0;  // below the 16 nodes of mesh:4x4
   WormholeNetwork net(*topo, *router, nullptr, config);
   EXPECT_FALSE(net.using_route_tables());
   net.inject(make_packet(*topo, 0, 15), 0);
   ASSERT_TRUE(net.drain(10000));
   EXPECT_EQ(net.delivered(), 1u);
+}
+
+TEST(Wormhole, RejectsDisabledRouteTablesFlag) {
+  // The virtual reference path is route_table_max_nodes = 0; the old
+  // on/off toggle is no longer a second way to ask for it.
+  const auto topo = topo::make_topology("mesh:4x4");
+  const auto router = route::make_router("adaptive", *topo);
+  WormholeConfig config;
+  config.use_route_tables = false;
+  EXPECT_THROW(WormholeNetwork(*topo, *router, nullptr, config),
+               std::invalid_argument);
 }
 
 }  // namespace
