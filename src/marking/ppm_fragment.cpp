@@ -91,8 +91,15 @@ std::vector<NodeId> FragmentPpmIdentifier::observe(const pkt::Packet& packet,
   const int offset = int(pkt::read_unsigned(field, FragmentLayout::offset()));
   const auto fragment =
       std::uint8_t(pkt::read_unsigned(field, FragmentLayout::fragment()));
-  if (levels_[level][std::size_t(offset)].insert(fragment).second) ++unique_;
-  return origins(victim);
+  if (levels_[level][std::size_t(offset)].insert(fragment).second) {
+    ++unique_;
+    origins_victim_.reset();
+  }
+  if (origins_victim_ != victim) {
+    origins_ = origins(victim);
+    origins_victim_ = victim;
+  }
+  return origins_;
 }
 
 std::vector<NodeId> FragmentPpmIdentifier::origins(NodeId victim) const {

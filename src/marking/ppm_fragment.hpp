@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "marking/scheme.hpp"
@@ -73,6 +74,8 @@ class FragmentPpmIdentifier final : public SourceIdentifier {
 
   std::string name() const override { return "ppm-fragment-id"; }
 
+  /// Ingests the fragment and returns origins(victim), recomputed only
+  /// when the fragment is new or the victim differs from the previous call.
   std::vector<NodeId> observe(const pkt::Packet& packet, NodeId victim) override;
   void reset() override;
 
@@ -90,6 +93,10 @@ class FragmentPpmIdentifier final : public SourceIdentifier {
   std::map<int, std::array<std::set<std::uint8_t>, FragmentLayout::kFragments>>
       levels_;
   std::size_t unique_ = 0;
+  // origins(*origins_victim_) as of the last observe(); cleared by a new
+  // fragment, which the first one after reset() always is.
+  std::vector<NodeId> origins_;
+  std::optional<NodeId> origins_victim_;
 };
 
 }  // namespace ddpm::mark

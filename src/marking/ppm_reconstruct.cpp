@@ -2,13 +2,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace ddpm::mark {
 
 PpmIdentifier::PpmIdentifier(const topo::Topology& topo, PpmVariant variant)
     : topo_(topo),
       variant_(variant),
-      layout_(PpmLayout::for_topology(variant, topo)) {}
+      layout_(PpmLayout::for_topology(variant, topo)) {
+  if (!layout_.fits) {
+    throw std::invalid_argument("PpmIdentifier: " + to_string(variant) +
+                                " needs " + std::to_string(layout_.total_bits) +
+                                " bits on " + topo.spec() +
+                                ", Marking Field has 16");
+  }
+}
 
 void PpmIdentifier::reset() {
   marks_by_level_.clear();
@@ -35,8 +43,15 @@ std::vector<NodeId> PpmIdentifier::observe(const pkt::Packet& packet,
       break;
   }
   if (level == 0) mark.aux = 0;  // end/bitpos are stale in half-written marks
-  if (marks_by_level_[level].insert(mark).second) ++unique_marks_;
-  return origins(victim);
+  if (marks_by_level_[level].insert(mark).second) {
+    ++unique_marks_;
+    origins_victim_.reset();
+  }
+  if (origins_victim_ != victim) {
+    origins_ = origins(victim);
+    origins_victim_ = victim;
+  }
+  return origins_;
 }
 
 std::vector<NodeId> PpmIdentifier::expand(const RawMark& mark, int level,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -27,13 +28,17 @@ namespace ddpm::mark {
 
 class PpmIdentifier final : public SourceIdentifier {
  public:
+  /// Throws std::invalid_argument if the variant's layout does not fit the
+  /// 16-bit field on `topo` (the same check PpmScheme makes).
   PpmIdentifier(const topo::Topology& topo, PpmVariant variant);
 
   std::string name() const override { return to_string(variant_) + "-id"; }
 
   /// Ingests the packet's mark and returns the current origin candidates
   /// (chain leaves). The candidate set evolves as marks accumulate; PPM has
-  /// no single-packet answer.
+  /// no single-packet answer. Reconstruction depends only on the distinct
+  /// marks, so the answer is recomputed only when the mark is new or the
+  /// victim differs from the previous call.
   std::vector<NodeId> observe(const pkt::Packet& packet, NodeId victim) override;
 
   void reset() override;
@@ -70,6 +75,10 @@ class PpmIdentifier final : public SourceIdentifier {
   PpmLayout layout_;
   std::map<int, std::set<RawMark>> marks_by_level_;
   std::size_t unique_marks_ = 0;
+  // origins(*origins_victim_) as of the last observe(); cleared by a new
+  // mark, which the first one after reset() always is.
+  std::vector<NodeId> origins_;
+  std::optional<NodeId> origins_victim_;
 };
 
 }  // namespace ddpm::mark

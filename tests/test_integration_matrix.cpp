@@ -4,8 +4,11 @@
 // quality expectations where they are unconditional.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
 
+#include "core/report_json.hpp"
 #include "core/sis.hpp"
 
 namespace ddpm::core {
@@ -14,26 +17,35 @@ namespace {
 using Param = std::tuple<const char* /*topology*/, const char* /*scheme*/,
                          const char* /*router*/>;
 
+/// One matrix cell: a three-zombie UDP flood on the last node, identified by
+/// the scheme that marks.
+ScenarioConfig cell_config(const std::string& topology,
+                           const std::string& scheme,
+                           const std::string& router) {
+  ScenarioConfig c;
+  c.cluster.topology = topology;
+  c.cluster.scheme = scheme;
+  c.cluster.router = router;
+  c.cluster.benign_rate_per_node = 0.0002;
+  c.cluster.seed = 77;
+  c.identifier = scheme;
+  c.detect_rate_threshold = 0.004;
+  c.duration = 250000;
+  c.attack.kind = attack::AttackKind::kUdpFlood;
+  const auto probe = topo::make_topology(c.cluster.topology);
+  c.attack.victim = probe->num_nodes() - 1;
+  netsim::Rng rng(5);
+  c.attack.zombies = attack::pick_zombies(*probe, 3, c.attack.victim, rng);
+  c.attack.rate_per_zombie = 0.008;
+  c.attack.start_time = 20000;
+  return c;
+}
+
 class PipelineMatrix : public ::testing::TestWithParam<Param> {
  protected:
   ScenarioConfig config() const {
-    ScenarioConfig c;
-    c.cluster.topology = std::get<0>(GetParam());
-    c.cluster.scheme = std::get<1>(GetParam());
-    c.cluster.router = std::get<2>(GetParam());
-    c.cluster.benign_rate_per_node = 0.0002;
-    c.cluster.seed = 77;
-    c.identifier = std::get<1>(GetParam());
-    c.detect_rate_threshold = 0.004;
-    c.duration = 250000;
-    c.attack.kind = attack::AttackKind::kUdpFlood;
-    const auto probe = topo::make_topology(c.cluster.topology);
-    c.attack.victim = probe->num_nodes() - 1;
-    netsim::Rng rng(5);
-    c.attack.zombies = attack::pick_zombies(*probe, 3, c.attack.victim, rng);
-    c.attack.rate_per_zombie = 0.008;
-    c.attack.start_time = 20000;
-    return c;
+    return cell_config(std::get<0>(GetParam()), std::get<1>(GetParam()),
+                       std::get<2>(GetParam()));
   }
 };
 
@@ -83,6 +95,45 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("ddpm", "dpm", "ppm-full",
                                          "ppm-fragment"),
                        ::testing::Values("dor", "adaptive")));
+
+/// FNV-1a, as tests/test_determinism.cpp fingerprints reports.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenCell {
+  const char* topology;
+  const char* scheme;
+  const char* router;
+  std::uint64_t digest;  // FNV-1a of to_json(config, report)
+};
+
+// PPM identification output, pinned across commits: any change to what the
+// victim-side reconstruction names, or when, moves a digest. The failure
+// prints the new value.
+constexpr GoldenCell kPpmGolden[] = {
+    {"torus:5x5", "ppm-full", "adaptive", 0xafa89c12f27d3db1ULL},
+    {"torus:5x5", "ppm-xor", "adaptive", 0x7eaced0a9e20babdULL},
+    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x416176b3554d5353ULL},
+    {"torus:5x5", "ppm-fragment", "adaptive", 0x1217b1476f92d81fULL},
+    {"mesh:6x6", "ppm-full", "dor", 0x702ab471d569f4c9ULL},
+};
+
+TEST(PipelineGolden, PpmIdentificationDigestsArePinned) {
+  for (const GoldenCell& g : kPpmGolden) {
+    const ScenarioConfig config = cell_config(g.topology, g.scheme, g.router);
+    SourceIdentificationSystem system(config);
+    const ScenarioReport report = system.run();
+    const std::uint64_t got = fnv1a(to_json(config, report));
+    EXPECT_EQ(got, g.digest) << g.topology << " " << g.scheme << " "
+                             << g.router << ": digest 0x" << std::hex << got;
+  }
+}
 
 }  // namespace
 }  // namespace ddpm::core

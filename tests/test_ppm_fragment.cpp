@@ -7,7 +7,9 @@
 #include "marking/ppm.hpp"
 #include "marking/ppm_reconstruct.hpp"
 #include "marking/walk.hpp"
+#include "ppm_observe_differential.hpp"
 #include "routing/router.hpp"
+#include "topology/factory.hpp"
 #include "topology/mesh.hpp"
 
 namespace ddpm::mark {
@@ -155,6 +157,21 @@ TEST(FragmentPpm, ResetClears) {
   EXPECT_GT(identifier.unique_fragments(), 0u);
   identifier.reset();
   EXPECT_EQ(identifier.unique_fragments(), 0u);
+}
+
+TEST(FragmentPpm, ObserveMatchesFreshOriginsAfterEveryPacket) {
+  // observe() skips the cross-product when a fragment repeats; a fresh
+  // origins() is the reference.
+  std::uint64_t seed = 1;
+  for (const char* spec : {"mesh:6x6", "mesh:8x8", "torus:8x8", "hypercube:6"}) {
+    SCOPED_TRACE(spec);
+    const auto topo = topo::make_topology(spec);
+    FragmentPpmScheme scheme(*topo, 0.1, seed);
+    FragmentPpmIdentifier identifier(*topo);
+    expect_observe_matches_origins(*topo, scheme, identifier, seed * 7919,
+                                   1600);
+    ++seed;
+  }
 }
 
 }  // namespace

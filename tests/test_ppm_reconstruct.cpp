@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "marking/walk.hpp"
+#include "ppm_observe_differential.hpp"
 #include "routing/router.hpp"
+#include "topology/factory.hpp"
 #include "topology/mesh.hpp"
 
 namespace ddpm::mark {
@@ -219,6 +223,58 @@ TEST(PpmReconstruct, BitDiffWorksOnHypercubeStyleIds) {
   const auto used = packets_until_identified(m, *router, scheme, identifier,
                                              src, victim, 60000);
   EXPECT_GT(used, 0u);
+}
+
+TEST(PpmReconstruct, ObserveMatchesFreshOriginsAfterEveryPacket) {
+  // observe() skips the rebuild when a mark repeats; a fresh origins() is
+  // the reference. mesh:6x6 leaves node ids 36..63 unused, so random fields
+  // there name nodes that do not exist.
+  struct Cell {
+    const char* topology;
+    PpmVariant variant;
+  };
+  const Cell cells[] = {
+      {"mesh:6x6", PpmVariant::kFullEdge},   {"mesh:6x6", PpmVariant::kXor},
+      {"mesh:6x6", PpmVariant::kBitDiff},    {"mesh:8x8", PpmVariant::kFullEdge},
+      {"mesh:8x8", PpmVariant::kXor},        {"mesh:8x8", PpmVariant::kBitDiff},
+      {"torus:8x8", PpmVariant::kFullEdge},  {"torus:8x8", PpmVariant::kXor},
+      {"torus:8x8", PpmVariant::kBitDiff},   {"hypercube:6", PpmVariant::kXor},
+      {"hypercube:6", PpmVariant::kBitDiff},
+  };
+  std::uint64_t seed = 1;
+  for (const Cell& c : cells) {
+    SCOPED_TRACE(std::string(c.topology) + " " + to_string(c.variant));
+    const auto topo = topo::make_topology(c.topology);
+    PpmScheme scheme(*topo, c.variant, 0.1, seed);
+    PpmIdentifier identifier(*topo, c.variant);
+    expect_observe_matches_origins(*topo, scheme, identifier, seed * 7919,
+                                   1600);
+    ++seed;
+  }
+}
+
+TEST(PpmReconstruct, RejectsLayoutsThatDoNotFit) {
+  // mesh:16x16 needs 21 bits for full-edge; the identifier must refuse it
+  // rather than read slices past bit 15.
+  for (const auto& [spec, variant] :
+       {std::pair{"mesh:16x16", PpmVariant::kFullEdge},
+        std::pair{"mesh:64x64", PpmVariant::kXor},
+        std::pair{"mesh:32x32", PpmVariant::kBitDiff}}) {
+    const auto topo = topo::make_topology(spec);
+    const auto layout = PpmLayout::for_topology(variant, *topo);
+    ASSERT_FALSE(layout.fits) << spec;
+    try {
+      PpmIdentifier identifier(*topo, variant);
+      ADD_FAILURE() << spec << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(to_string(variant)), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(layout.total_bits) + " bits"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(spec), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace
