@@ -1,18 +1,19 @@
 // FlowStreamAnalyzer: bounded-memory DDoS detection over flow streams,
 // byte-identical for any --jobs count.
 //
-// The analyzer tumbles the stream into fixed windows and keeps every
-// sketch SHARDED by key, with a structural shard count that is part of
-// the configuration — NOT the thread count:
+// The analyzer composes three bounded-memory primitives: Space-Saving
+// top-K summaries (space_saving.hpp), a sliding source-entropy sketch
+// (entropy_window.hpp) and a CUSUM fold (cusum.hpp). It tumbles the stream
+// into fixed windows and keeps the Space-Saving summaries SHARDED by key,
+// with a structural shard count that is part of the configuration — NOT
+// the thread count:
 //
 //   * ingest (serial): each record is staged into the shard owning its
 //     source key and the shard owning its destination key; the global
 //     sliding-entropy sketch is fed in stream order.
 //   * window close: shards are processed by core::ParallelRunner — each
-//     worker touches only its own shard's sketches (count-min with
-//     conservative update is order-dependent, so a key's counters are
-//     only ever updated AND queried by the one shard that owns it) —
-//     then merged serially in shard order.
+//     worker touches only its own shard's summaries and staging buffers —
+//     then judged and merged serially in shard order.
 //
 // Every detection decision happens at a window boundary from the merged
 // per-shard state, so reports are bit-identical for jobs=1..N by
@@ -37,7 +38,6 @@
 #include "flow/trace_gen.hpp"
 #include "stream/cusum.hpp"
 #include "stream/entropy_window.hpp"
-#include "stream/sketch.hpp"
 #include "stream/space_saving.hpp"
 
 namespace ddpm::stream {
@@ -51,7 +51,9 @@ struct FlowAnalyzerConfig {
   /// equal shard counts. Independent of `jobs`.
   std::uint32_t shards = 16;
 
-  /// Per-shard count-min geometry (per side: sources and destinations).
+  /// Not read by the analyzer, which keeps no count-min sketch. Kept
+  /// declared because the benchmark harness (perfbench/) sets and reports
+  /// them; they go when that harness changes.
   std::uint32_t cms_width = 2048;
   std::uint32_t cms_depth = 4;
 
@@ -73,6 +75,7 @@ struct FlowAnalyzerConfig {
 
   /// CUSUM baseline calibration: mean top-destination count over the
   /// first `warmup_windows` windows; slack/threshold scale off that mean.
+  /// The slack must not be negative (the constructor checks).
   std::uint32_t warmup_windows = 4;
   double cusum_slack_frac = 1.0;
   double cusum_threshold_frac = 8.0;
@@ -156,8 +159,6 @@ class FlowStreamAnalyzer {
   struct Shard {
     Shard(const FlowAnalyzerConfig& config, std::uint64_t seed);
 
-    CountMinSketch src_cms;        // cumulative, conservative update
-    CountMinSketch dst_cms;        // cumulative
     SpaceSavingTopK src_top;       // cumulative
     SpaceSavingTopK dst_top;       // cumulative
     SpaceSavingTopK win_dst_top;   // cleared every window
@@ -166,6 +167,9 @@ class FlowStreamAnalyzer {
   };
 
   std::uint32_t shard_of(std::uint32_t key) const noexcept;
+  /// Makes `w` the open window. Closes the open window, the empty warm-up
+  /// windows and one more; later empty windows only fold 0 into CUSUM.
+  void advance_to(core::WindowIndex w);
   /// DDPM_SHARD_MERGE: drains the staging buffers into the shard
   /// sketches (fanned, disjoint per index) and then judges/merges the
   /// window serially in shard order.

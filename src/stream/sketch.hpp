@@ -1,5 +1,6 @@
-// Count-min sketch with conservative update — the bounded-memory
-// frequency oracle behind the streaming detectors.
+// Count-min sketch with conservative update — a standalone bounded-memory
+// frequency primitive. No analyzer or detector in this library keeps one;
+// its tests, bench_kernel and perfbench exercise it on its own.
 //
 // Geometry: `depth` rows of `width` 64-bit counters, one independent hash
 // per row. The classic guarantees hold (Cormode & Muthukrishnan):
@@ -11,8 +12,8 @@
 // Conservative update (Estan & Varghese) only raises the rows that are
 // below estimate+w, which tightens the overestimate substantially on
 // skewed streams while preserving the bounds; it makes updates
-// ORDER-DEPENDENT, which is why the sharded flow analyzer keys every
-// query to the shard that performed the updates (see flow_analyzer.hpp).
+// ORDER-DEPENDENT, so a sharded user must query a key on the shard that
+// performed its updates.
 //
 // The update path is DDPM_HOT: no allocation, no virtual dispatch, no
 // locks, no throw/IO, and no hardware division — row/column mapping uses

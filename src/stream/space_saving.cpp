@@ -67,38 +67,57 @@ DDPM_HOT void SpaceSavingTopK::vacate(std::uint32_t t) noexcept {
   }
 }
 
-DDPM_HOT void SpaceSavingTopK::swap_slots(std::uint32_t a,
-                                          std::uint32_t b) noexcept {
-  const SsSlot tmp = heap_[a];
-  heap_[a] = heap_[b];
-  heap_[b] = tmp;
-  table_[heap_[a].idx_slot].heap_pos = std::int32_t(a);
-  table_[heap_[b].idx_slot].heap_pos = std::int32_t(b);
+DDPM_HOT void SpaceSavingTopK::place(std::uint32_t pos,
+                                     const SsSlot& slot) noexcept {
+  heap_[pos] = slot;
+  table_[slot.idx_slot].heap_pos = std::int32_t(pos);
 }
 
 DDPM_HOT void SpaceSavingTopK::sink(std::uint32_t pos) noexcept {
+  // Holds the moving slot aside, shifts each smaller child up into the
+  // hole, and writes the slot once where it stops. The child that moves up
+  // is the first one with the smallest count, so ties go to the leftmost.
   const auto n = std::uint32_t(heap_.size());
+  const SsSlot moving = heap_[pos];
   for (;;) {
-    const std::uint32_t first_child = pos * kArity + 1;
-    if (first_child >= n) return;
-    std::uint32_t smallest = pos;
-    const std::uint32_t last_child = std::min(first_child + kArity, n);
-    for (std::uint32_t c = first_child; c < last_child; ++c) {
-      if (heap_[c].count < heap_[smallest].count) smallest = c;
+    const std::uint32_t first = pos * kArity + 1;
+    if (first >= n) break;
+    std::uint32_t child = first;
+    if (first + kArity <= n) {
+      // Full family: a tournament of selects, no data-dependent branch.
+      static_assert(kArity == 4, "the tournament compares four children");
+      // Each pair keeps its left slot unless the right one is strictly
+      // smaller, and the final keeps the left pair on a tie.
+      const std::uint64_t c0 = heap_[first].count;
+      const std::uint64_t c1 = heap_[first + 1].count;
+      const std::uint64_t c2 = heap_[first + 2].count;
+      const std::uint64_t c3 = heap_[first + 3].count;
+      const std::uint32_t left = c1 < c0 ? first + 1 : first;
+      const std::uint64_t left_min = c1 < c0 ? c1 : c0;
+      const std::uint32_t right = c3 < c2 ? first + 3 : first + 2;
+      const std::uint64_t right_min = c3 < c2 ? c3 : c2;
+      child = right_min < left_min ? right : left;
+    } else {
+      for (std::uint32_t c = first + 1; c < n; ++c) {
+        if (heap_[c].count < heap_[child].count) child = c;
+      }
     }
-    if (smallest == pos) return;
-    swap_slots(pos, smallest);
-    pos = smallest;
+    if (heap_[child].count >= moving.count) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
+  place(pos, moving);
 }
 
 DDPM_HOT void SpaceSavingTopK::swim(std::uint32_t pos) noexcept {
+  const SsSlot moving = heap_[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / kArity;
-    if (heap_[parent].count <= heap_[pos].count) return;
-    swap_slots(pos, parent);
+    if (heap_[parent].count <= moving.count) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
+  place(pos, moving);
 }
 
 DDPM_HOT void SpaceSavingTopK::offer(std::uint32_t key,

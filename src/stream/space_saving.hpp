@@ -10,8 +10,8 @@
 // backward-shift deletion, all over flat preallocated arrays — offer() is
 // DDPM_HOT: zero allocation, no virtual dispatch, no locking, no
 // hardware division (power-of-two table masks, constant heap arity).
-// Heap entries and index slots carry reciprocal positions so every swap,
-// eviction and backward shift is O(1) pointer maintenance.
+// Heap entries and index slots carry reciprocal positions so every heap
+// move, eviction and backward shift is O(1) pointer maintenance.
 //
 // Query-side helpers (top(), estimate()) are cold and may allocate.
 #pragma once
@@ -92,7 +92,8 @@ class SpaceSavingTopK {
   /// Restores heap order downward/upward from `pos` after a count change.
   DDPM_HOT void sink(std::uint32_t pos) noexcept;
   DDPM_HOT void swim(std::uint32_t pos) noexcept;
-  DDPM_HOT void swap_slots(std::uint32_t a, std::uint32_t b) noexcept;
+  /// Writes `slot` at heap position `pos` and points its index slot there.
+  DDPM_HOT void place(std::uint32_t pos, const SsSlot& slot) noexcept;
 
   std::uint32_t capacity_;
   std::uint32_t table_mask_;  // table size - 1 (power of two)
@@ -101,5 +102,27 @@ class SpaceSavingTopK {
   std::vector<SsSlot> heap_;        // min-heap on count
   std::vector<SsIndexSlot> table_;  // linear probing, backward-shift delete
 };
+
+/// Feeds `entries` (each with a `key` and a `weight`) to `top` in order,
+/// as at most two offers per maximal run of equal keys. The first may
+/// insert or evict; after it the key is monitored, so the second, carrying
+/// the rest of the run's weight, is a hit. Merging the run's hits is exact:
+/// a hit's sink follows the first-minimum child at each level, a path that
+/// does not depend on the moving count, so two sinks stop where one sink
+/// with the summed count stops. (Merging the whole run into the first
+/// offer is not exact: an insert swims up less far with a larger count.)
+template <class Entry>
+void offer_runs(SpaceSavingTopK& top,
+                const std::vector<Entry>& entries) noexcept {
+  for (std::size_t i = 0; i < entries.size();) {
+    const std::uint32_t key = entries[i].key;
+    top.offer(key, entries[i].weight);
+    std::uint64_t rest = 0;
+    for (++i; i < entries.size() && entries[i].key == key; ++i) {
+      rest += entries[i].weight;
+    }
+    if (rest > 0) top.offer(key, rest);
+  }
+}
 
 }  // namespace ddpm::stream

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "stream/flow_analyzer.hpp"
 #include "stream/sketch.hpp"
 #include "stream/space_saving.hpp"
+#include "space_saving_reference.hpp"
 
 namespace ddpm::stream {
 namespace {
@@ -209,6 +212,130 @@ TEST(SpaceSaving, ClearEmptiesSummary) {
   EXPECT_EQ(summary.estimate(7), 3u);
 }
 
+// --- Differential oracle: SpaceSavingTopK against the reference heap --------
+
+enum class SsStream : std::uint8_t {
+  kSkewed,
+  kFlat,
+  kAllTie,
+  kWeighted,
+  kLongRun,
+};
+
+struct Offer {
+  std::uint32_t key;
+  std::uint64_t weight;
+};
+
+/// `n` offers of one shape, sized for a summary of `capacity` slots.
+std::vector<Offer> ss_stream(SsStream kind, std::size_t n,
+                             std::uint32_t capacity, std::uint64_t seed) {
+  netsim::Rng rng(seed);
+  std::vector<Offer> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const double u = rng.next_double();
+    switch (kind) {
+      case SsStream::kSkewed:
+        out.push_back({std::uint32_t(u * u * 8.0 * capacity), 1});
+        break;
+      case SsStream::kFlat:
+        out.push_back({std::uint32_t(rng.next_below(4 * capacity + 1)), 1});
+        break;
+      case SsStream::kAllTie:
+        // Round robin over a few more keys than slots: every count ties,
+        // and every offer past the first round evicts.
+        out.push_back({std::uint32_t(out.size() % (capacity + 3)), 1});
+        break;
+      case SsStream::kWeighted: {
+        const std::uint64_t w =
+            rng.next_bool(0.02) ? (1ULL << 40) : 1 + rng.next_below(1000);
+        out.push_back({std::uint32_t(u * u * 3.0 * capacity), w});
+        break;
+      }
+      case SsStream::kLongRun: {
+        // Runs of one key, as a flood stages them: most runs are the hot
+        // key, the rest fresh keys that evict.
+        const auto key =
+            rng.next_bool(0.5) ? 7u : std::uint32_t(rng.next_u64());
+        const std::uint64_t run = 1 + rng.next_below(40);
+        for (std::uint64_t i = 0; i < run && out.size() < n; ++i) {
+          out.push_back({key, 1 + rng.next_below(4)});
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_summary(const reference::SpaceSavingTopK& want,
+                         const SpaceSavingTopK& got, std::uint32_t key,
+                         const std::string& where) {
+  const std::vector<SpaceSavingTopK::Item> a = want.top(got.capacity());
+  const std::vector<SpaceSavingTopK::Item> b = got.top(got.capacity());
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].key, b[i].key) << where << " rank " << i;
+    ASSERT_EQ(a[i].count, b[i].count) << where << " rank " << i;
+    ASSERT_EQ(a[i].error, b[i].error) << where << " rank " << i;
+  }
+  ASSERT_EQ(want.min_count(), got.min_count()) << where;
+  ASSERT_EQ(want.total(), got.total()) << where;
+  ASSERT_EQ(want.estimate(key), got.estimate(key)) << where;
+  ASSERT_EQ(want.estimate(key + 1), got.estimate(key + 1)) << where;
+}
+
+constexpr SsStream kSsStreams[] = {SsStream::kSkewed, SsStream::kFlat,
+                                   SsStream::kAllTie, SsStream::kWeighted,
+                                   SsStream::kLongRun};
+
+TEST(SpaceSavingOracle, EveryOfferMatchesTheReferenceHeap) {
+  for (const SsStream kind : kSsStreams) {
+    for (std::uint32_t capacity = 1; capacity <= 70; ++capacity) {
+      reference::SpaceSavingTopK want(capacity);
+      SpaceSavingTopK got(capacity, 0xfeedULL + capacity);
+      const std::vector<Offer> stream =
+          ss_stream(kind, 600, capacity, 31 * capacity + std::uint64_t(kind));
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        want.offer(stream[i].key, stream[i].weight);
+        got.offer(stream[i].key, stream[i].weight);
+        ASSERT_NO_FATAL_FAILURE(expect_same_summary(
+            want, got, stream[i].key,
+            "stream " + std::to_string(int(kind)) + " cap " +
+                std::to_string(capacity) + " offer " + std::to_string(i)));
+      }
+    }
+  }
+}
+
+TEST(SpaceSavingOracle, OfferRunsMatchesOneOfferPerEntry) {
+  // offer_runs applies a run of one key as two offers; the summary must
+  // equal the reference fed one entry at a time. Chunks stand in for the
+  // flow analyzer's per-window staging buffers, so runs also break at a
+  // chunk's end.
+  for (const SsStream kind : kSsStreams) {
+    for (std::uint32_t capacity = 1; capacity <= 70; ++capacity) {
+      reference::SpaceSavingTopK want(capacity);
+      SpaceSavingTopK got(capacity, 0xbeefULL + capacity);
+      const std::vector<Offer> stream =
+          ss_stream(kind, 2000, capacity, 77 * capacity + std::uint64_t(kind));
+      for (std::size_t begin = 0; begin < stream.size(); begin += 64) {
+        const std::size_t end = std::min(begin + 64, stream.size());
+        const std::vector<Offer> chunk(stream.begin() + std::ptrdiff_t(begin),
+                                       stream.begin() + std::ptrdiff_t(end));
+        for (const Offer& o : chunk) want.offer(o.key, o.weight);
+        offer_runs(got, chunk);
+        ASSERT_NO_FATAL_FAILURE(expect_same_summary(
+            want, got, chunk.back().key,
+            "stream " + std::to_string(int(kind)) + " cap " +
+                std::to_string(capacity) + " chunk at " +
+                std::to_string(begin)));
+      }
+    }
+  }
+}
+
 TEST(EntropySketch, MatchesExactEntropyOnSmallAlphabet) {
   // 8 equiprobable keys into 4096 buckets: collisions are negligible, so
   // the sketch entropy must sit at ~3 bits once the window fills.
@@ -258,6 +385,51 @@ TEST(RateCusum, RatchetsAcrossBursts) {
     alarmed = cusum.fold(i % 2 == 0 ? 40.0 : 0.0);
   }
   EXPECT_TRUE(alarmed);
+}
+
+TEST(RateCusum, FoldZerosMatchesRepeatedFolds) {
+  // Drifts (mean + slack) with a rounding tie in some binade: 3 + 2^-33 is
+  // a tie at the ulp of [2^20, 2^21), 1.5 at the ulp of [2^52, 2^53). The
+  // tiny drift rounds away near 2^30, a fixed point.
+  const double tie20 = 3.0 + std::ldexp(1.0, -33);
+  const struct {
+    double mean, slack;
+  } drifts[] = {{1.0, 0.0}, {1.0, 1.0}, {1.0, 0.5}, {0.1, 0.2},
+                {3.0, std::ldexp(1.0, -33)}, {7.3, 7.3},
+                {std::ldexp(1.0, -31), 0.0}, {1e6, 1e6}};
+  const double starts[] = {0.5, 1.0, 2.0, 12345.678,
+                           std::ldexp(1.0, 20) + 1.0, std::ldexp(1.0, 20) * 1.7,
+                           std::ldexp(1.0, 21) + tie20, std::ldexp(1.0, 30),
+                           4.0e6, std::ldexp(1.0, 52) + 3.0};
+  const std::uint64_t counts[] = {0, 1, 2, 3, 7, 100, 1000, 123457, 1'000'000};
+  for (const auto& d : drifts) {
+    // A last fold of a small value sets the low bits of s; the two values
+    // differ by the ulp of [2^20, 2^21), so a tie there first meets both an
+    // odd and an even multiple. (Folds of 0 alone only leave even ones.)
+    for (const double start : starts) for (const double last :
+         {0.3, 0.3 + std::ldexp(1.0, -32)}) {
+      RateCusum base(d.mean, d.slack, 0.0);
+      base.fold(start + d.mean + d.slack);  // s near start
+      base.fold(last);
+      RateCusum reference = base;
+      std::uint64_t done = 0;
+      for (const std::uint64_t n : counts) {
+        for (; done < n; ++done) reference.fold(0.0);
+        RateCusum fast = base;
+        fast.fold_zeros(n);
+        EXPECT_EQ(fast.statistic(), reference.statistic())
+            << "mean " << d.mean << " slack " << d.slack << " start "
+            << base.statistic() << " n " << n;
+      }
+    }
+  }
+  // A long drain, exact in integers: 2^32 - 3 down by 2 per window.
+  RateCusum drain(1.0, 1.0, 8.0);
+  drain.fold(4294967295.0);
+  drain.fold_zeros(2'147'483'146);
+  EXPECT_EQ(drain.statistic(), 1001.0);
+  drain.fold_zeros(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(drain.statistic(), 0.0);
 }
 
 pkt::Packet make_packet(std::uint32_t src) {

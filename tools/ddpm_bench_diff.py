@@ -17,7 +17,8 @@ engine, new hardware), regenerate the committed baseline deliberately:
 and commit it together with the change that moved it.
 
 Direction is inferred from the unit: throughput units (ops/s, steps/s,
-x) are better-higher; duration units (s, ms) are better-lower. Metrics
+records/s, updates/s, x) are better-higher; duration units (s, ms) are
+better-lower. Metrics
 present on only one side are reported but never fail the diff (benches
 come and go); what fails is only a shared metric moving the wrong way.
 
@@ -46,7 +47,7 @@ import json
 import sys
 
 # Units where larger is better; anything else (s, ms, ...) is a duration.
-HIGHER_IS_BETTER_UNITS = {"ops/s", "steps/s", "x"}
+HIGHER_IS_BETTER_UNITS = {"ops/s", "steps/s", "records/s", "updates/s", "x"}
 
 PROVENANCE_KEYS = ("compiler", "build_type", "telemetry", "mode", "jobs")
 

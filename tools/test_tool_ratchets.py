@@ -47,6 +47,7 @@ BENCH_DOC = {
         {"name": "eq_churn", "value": 5.0e6, "unit": "ops/s"},
         {"name": "sweep_serial", "value": 3.3, "unit": "s"},
         {"name": "sweep_speedup", "value": 1.01, "unit": "x"},
+        {"name": "trace_replay", "value": 1.0e7, "unit": "records/s"},
     ],
     "floors": {"sweep_speedup": 0.99},
 }
@@ -102,6 +103,19 @@ class BenchDiffTest(unittest.TestCase):
         p = run(BENCH_DIFF, self.base, cur)
         self.assertEqual(p.returncode, 1)
         self.assertIn("sweep_serial", p.stderr)
+
+    def test_bench_kernel_rates_are_higher_better(self):
+        # trace_replay (records/s) and sketch_update (updates/s) are rates:
+        # slower must reject, faster must pass.
+        slower = self.current(
+            mutate=lambda d: self.set_metric(d, "trace_replay", 8.0e6))
+        p = run(BENCH_DIFF, self.base, slower)
+        self.assertEqual(p.returncode, 1)
+        self.assertIn("trace_replay", p.stderr)
+        faster = self.current(
+            mutate=lambda d: self.set_metric(d, "trace_replay", 2.0e7))
+        p = run(BENCH_DIFF, self.base, faster)
+        self.assertEqual(p.returncode, 0, p.stderr)
 
     def test_metric_missing_from_current_warns_but_accepts(self):
         cur = self.current(mutate=lambda d: d["results"].pop(0))  # eq_churn
