@@ -210,6 +210,19 @@ int main(int argc, char** argv) {
                   << (e.correct ? "" : "  (innocent!)") << '\n';
       }
     }
+    // A missed attacker must not pass silently. Every switch that forwards
+    // a packet decrements its TTL and drops it at zero, so a zombie
+    // initial_ttl or more hops away can never reach the victim at all.
+    const auto victim = config.attack.victim;
+    const int ttl = config.cluster.initial_ttl;
+    for (const topo::NodeId zombie : config.attack.zombies) {
+      if (report.identified_sources.count(zombie) != 0) continue;
+      const int hops = probe->min_hops(zombie, victim);
+      std::cout << "warning: zombie " << zombie << " never identified: " << hops
+                << (hops == 1 ? " hop" : " hops") << " from victim " << victim;
+      if (hops >= ttl) std::cout << ", beyond the reach of initial TTL " << ttl;
+      std::cout << '\n';
+    }
     return 0;
   } catch (const std::exception& err) {
     std::cerr << "error: " << err.what() << '\n';

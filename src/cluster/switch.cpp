@@ -1,5 +1,6 @@
 #include "cluster/switch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ddpm::cluster {
@@ -34,9 +35,16 @@ Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
       env_(env),
       rng_(rng),
       ports_(std::size_t(env->topo->num_ports())) {
-  for (OutputPort& port : ports_) {
-    port.queue.reserve(env_->queue_capacity);
-    port.in_flight.reserve(env_->queue_capacity);
+  // Every packet is at least a bare header, so a link starts one at most
+  // every min_tx ticks, and each lands link_latency after its
+  // serialization ends: at most latency / min_tx + 2 are on it at once.
+  const double min_tx = std::max(
+      1.0, std::ceil(double(pkt::IpHeader::kWireSize) / env_->link_bandwidth));
+  const auto on_link = std::size_t(double(env_->link_latency) / min_tx) + 2;
+  for (Port p = 0; p < Port(ports_.size()); ++p) {
+    OutputPort& port = ports_[std::size_t(p)];
+    port.fifo.reserve(env_->queue_capacity + on_link);
+    port.neighbor = env_->topo->neighbor(id_, p).value_or(topo::kInvalidNode);
   }
   // Labels are a function of the topology alone; the owning network builds
   // them once and shares them (hoisted out of this ctor, which used to
@@ -73,34 +81,32 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
     return;
   }
   OutputPort& out = ports_[std::size_t(*port)];
-  if (out.queue.size() >= env_->queue_capacity) {
+  if (out.fifo.size() - out.sent >= env_->queue_capacity) {
     ++env_->metrics->dropped_queue_full;
     probes_.on_drop_queue_full(env_->tracer, id_);
     return;
   }
-  const NodeId next = *env_->topo->neighbor(id_, *port);
+  const NodeId next = out.neighbor;
   if (env_->scheme != nullptr) {
     env_->scheme->on_forward(packet, id_, next);
     probes_.on_mark_hook();
   }
   ++packet.hops;
   if (!packet.trace.empty()) packet.trace.push_back(next);
-  out.queue.push_back(std::move(packet));
-  probes_.on_forward(out.queue.size());
+  out.fifo.push_back(std::move(packet));
+  probes_.on_forward(out.fifo.size() - out.sent);
   start_transmission(*port);
 }
 
 DDPM_HOT void Switch::start_transmission(Port port) {
   OutputPort& out = ports_[std::size_t(port)];
-  if (out.busy || out.queue.empty()) return;
+  if (out.busy || out.sent == out.fifo.size()) return;
   out.busy = true;
-  pkt::Packet packet = std::move(out.queue.front());
-  out.queue.pop_front();
+  const pkt::Packet& packet = out.fifo[out.sent++];
   const auto tx_ticks = netsim::SimTime(
       // Floating-point divide (bandwidth scaling), not an integer one;
       // the textual frontend cannot type-check the operands.
       std::ceil(double(packet.wire_bytes()) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
-  const NodeId next = *env_->topo->neighbor(id_, port);
   // The span covers serialization + propagation; both durations are known
   // at schedule time, so one complete event suffices (no open/close pair).
   probes_.on_tx(env_->tracer, id_, std::size_t(port), packet.wire_bytes(),
@@ -111,19 +117,15 @@ DDPM_HOT void Switch::start_transmission(Port port) {
     ports_[std::size_t(port)].busy = false;
     start_transmission(port);
   });
-  out.in_flight.push_back(std::move(packet));
-  env_->sim->schedule_in(tx_ticks + env_->link_latency,
-                         [this, port, next]() {
-                           OutputPort& p = ports_[std::size_t(port)];
-                           pkt::Packet landed = std::move(p.in_flight.front());
-                           p.in_flight.pop_front();
-                           env_->arrive(std::move(landed), id_, next);
-                         });
-}
-
-std::size_t Switch::queue_length(Port port) const {
-  if (port < 0 || std::size_t(port) >= ports_.size()) return 0;
-  return ports_[std::size_t(port)].queue.size();
+  // The front is the oldest packet on the link. arrive() hands it to the
+  // neighbor switch, which never pushes onto this port, so the slot stays
+  // put until the pop.
+  env_->sim->schedule_in(tx_ticks + env_->link_latency, [this, port]() {
+    OutputPort& p = ports_[std::size_t(port)];
+    env_->arrive(std::move(p.fifo.front()), id_, p.neighbor);
+    p.fifo.pop_front();
+    --p.sent;
+  });
 }
 
 }  // namespace ddpm::cluster

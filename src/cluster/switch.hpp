@@ -67,22 +67,30 @@ class Switch {
   /// port toward that neighbor).
   void handle(pkt::Packet&& packet, Port arrived_on);
 
-  /// Output-queue occupancy, the congestion signal adaptive routing reads.
-  std::size_t queue_length(Port port) const;
+  /// Output-queue occupancy, the congestion signal adaptive routing reads:
+  /// packets waiting for the link, not those already on it.
+  std::size_t queue_length(Port port) const {
+    if (port < 0 || std::size_t(port) >= ports_.size()) return 0;
+    const OutputPort& out = ports_[std::size_t(port)];
+    return out.fifo.size() - out.sent;
+  }
 
   NodeId id() const noexcept { return id_; }
 
  private:
   struct OutputPort {
-    /// Bounded by Env::queue_capacity and reserved to it at construction,
-    /// so steady-state enqueue/dequeue never touches the allocator.
-    core::RingBuffer<pkt::Packet> queue;
-    /// Serialized onto the link, still propagating. Arrival events complete
-    /// strictly in transmission order (serialization is sequential and the
-    /// latency constant), so a FIFO here lets the arrival event capture
-    /// just [this, port] instead of hauling the packet through the event
-    /// queue — the capture stays inside InlineAction's inline buffer.
-    core::RingBuffer<pkt::Packet> in_flight;
+    /// Every packet routed to this port and not yet landed, in order: the
+    /// first `sent` are on the link (serializing or propagating), the rest
+    /// wait for it. Packets land strictly in transmission order
+    /// (serialization is sequential and the latency constant), so the
+    /// arrival event takes the front and captures just [this, port] — the
+    /// capture stays inside InlineAction's inline buffer. Reserved at
+    /// construction to the queue capacity plus what one link can hold in
+    /// flight, so steady state never touches the allocator.
+    core::RingBuffer<pkt::Packet> fifo;
+    std::size_t sent = 0;
+    /// The switch this port's link reaches; kInvalidNode at a mesh edge.
+    NodeId neighbor = topo::kInvalidNode;
     bool busy = false;
   };
 

@@ -49,6 +49,14 @@ class RingBuffer {
     return slots_[head_];
   }
 
+  /// Element `i` places behind the front (i < size()).
+  T& operator[](std::size_t i) {
+    DDPM_DCHECK(i < count_, "ring index out of range");
+    std::size_t idx = head_ + i;
+    if (idx >= slots_.size()) idx -= slots_.size();
+    return slots_[idx];
+  }
+
   void push_back(T&& value) {
     if (count_ == slots_.size()) grow(count_ == 0 ? 4 : count_ * 2);
     std::size_t tail = head_ + count_;

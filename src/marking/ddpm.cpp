@@ -1,5 +1,6 @@
 #include "marking/ddpm.hpp"
 
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -32,6 +33,7 @@ DdpmCodec::DdpmCodec(const topo::Topology& topo)
         hypercube_ ? 1u
                    : unsigned(ceil_log2(unsigned(topo.dim_size(d))) + 1);
     slices_.push_back({offset, width});
+    mask_ = std::uint16_t(mask_ | slices_.back().mask());
     offset += width;
   }
 }
@@ -51,12 +53,9 @@ bool DdpmCodec::fits(const topo::Topology& topo) {
   return required_bits(topo) <= 16;
 }
 
-DDPM_HOT std::uint16_t DdpmCodec::encode(const topo::Coord& v) const {
+std::uint16_t DdpmCodec::encode(const topo::Coord& v) const {
   if (v.size() != slices_.size()) {
-    // Cold precondition guard: per-hop callers feed encode() the vector
-    // decode() just produced, whose size is fixed at construction.
-    throw std::invalid_argument(  // ddpm-analyze: allow(hot-no-throw-io)
-        "DdpmCodec::encode: dimensionality mismatch");
+    throw std::invalid_argument("DdpmCodec::encode: dimensionality mismatch");
   }
   std::uint16_t field = 0;
   for (std::size_t d = 0; d < slices_.size(); ++d) {
@@ -71,7 +70,7 @@ DDPM_HOT std::uint16_t DdpmCodec::encode(const topo::Coord& v) const {
   return field;
 }
 
-DDPM_HOT topo::Coord DdpmCodec::decode(std::uint16_t field) const {
+topo::Coord DdpmCodec::decode(std::uint16_t field) const {
   topo::Coord v(slices_.size());
   for (std::size_t d = 0; d < slices_.size(); ++d) {
     v[d] = static_cast<topo::Coord::value_type>(
@@ -81,38 +80,53 @@ DDPM_HOT topo::Coord DdpmCodec::decode(std::uint16_t field) const {
   return v;
 }
 
+DdpmScheme::DdpmScheme(const topo::Topology& topo)
+    : codec_(topo), coords_(topo) {
+  for (std::size_t d = 0; d < codec_.num_dims(); ++d) {
+    const pkt::FieldSlice slice = codec_.slice(d);
+    lanes_[d] = {slice, slice.mask(), std::int16_t(coords_.radix(d) - 1)};
+  }
+}
+
 void DdpmScheme::on_injection(pkt::Packet& packet, NodeId /*at*/) {
-  packet.set_marking_field(codec_.encode(topo::Coord(topo_.num_dims())));
+  packet.set_marking_field(0);  // the zero vector encodes as all-zero bits
 }
 
 DDPM_HOT void DdpmScheme::on_forward(pkt::Packet& packet, NodeId current,
                                      NodeId next) {
-  const topo::Coord v = codec_.decode(packet.marking_field());
-  // Hypercube hops flip one coordinate bit, so the per-hop delta and the
-  // accumulation are both XOR; elsewhere they are signed differences/sums.
-  topo::Coord updated =
-      codec_.is_hypercube()
-          ? (v ^ (topo_.coord_of(next) ^ topo_.coord_of(current)))
-          : (v + (topo_.coord_of(next) - topo_.coord_of(current)));
-  // Honest fields can never leave the codec's range (telescoping bounds
-  // every component by the coordinate span), but a compromised switch or
-  // an un-reset attacker seed can push the sum to the slice boundary. A
-  // switch must not fault on hostile input: saturate instead. A saturated
-  // vector decodes to an out-of-range source at the victim, i.e. the
-  // tampering is detected rather than silently misattributed.
-  if (!codec_.is_hypercube()) {
-    for (std::size_t d = 0; d < topo_.num_dims(); ++d) {
-      const int span = topo_.dim_size(d) - 1;
-      if (updated[d] > span || updated[d] < -span) probes_.on_saturation();
-      if (updated[d] > span) updated[d] = topo::Coord::value_type(span);
-      if (updated[d] < -span) updated[d] = topo::Coord::value_type(-span);
-      // Post-saturation, every component fits its codec slice: the slice
-      // holds [-2^(w-1), 2^(w-1)-1] with 2^(w-1) >= dim_size > span.
-      DDPM_DCHECK(updated[d] >= -span && updated[d] <= span,
-                  "displacement escaped saturation bounds");
-    }
+  const std::uint16_t in = packet.marking_field();
+  if (coords_.hypercube()) {
+    // Coordinate d is id bit d and slice d is field bit d, so the per-hop
+    // delta and the accumulation are one XOR of the ids.
+    packet.set_marking_field(
+        std::uint16_t((in & codec_.mask()) ^ (current ^ next)));
+    probes_.on_mark();
+    return;
   }
-  packet.set_marking_field(codec_.encode(updated));
+  const auto* from = coords_.row(current);
+  const auto* to = coords_.row(next);
+  // Built up from zero, slice by slice, so bits outside the slices end up
+  // clear, as a full re-encode leaves them.
+  std::uint16_t out = 0;
+  for (std::size_t d = 0; d < coords_.num_dims(); ++d) {
+    const Lane& lane = lanes_[d];
+    int v = pkt::read_signed(in, lane.slice) + (int(to[d]) - int(from[d]));
+    // Honest fields can never leave the codec's range (telescoping bounds
+    // every component by the coordinate span), but a compromised switch or
+    // an un-reset attacker seed can push the sum to the slice boundary. A
+    // switch must not fault on hostile input: saturate instead. A saturated
+    // vector decodes to an out-of-range source at the victim, i.e. the
+    // tampering is detected rather than silently misattributed.
+    if (v > lane.span || v < -lane.span) [[unlikely]] {
+      probes_.on_saturation();
+      v = v > lane.span ? lane.span : -lane.span;
+    }
+    // Post-saturation, v fits the slice: it holds [-2^(w-1), 2^(w-1)-1]
+    // with 2^(w-1) >= dim_size > span. So its low w bits, two's
+    // complement, go straight into the slice.
+    out = std::uint16_t(out | ((unsigned(v) << lane.slice.offset) & lane.mask));
+  }
+  packet.set_marking_field(out);
   probes_.on_mark();
 }
 
@@ -124,13 +138,18 @@ std::vector<NodeId> DdpmIdentifier::observe(const pkt::Packet& packet,
 
 std::optional<NodeId> DdpmIdentifier::identify(NodeId victim,
                                                std::uint16_t field) const {
-  const topo::Coord v = codec_.decode(field);
-  const topo::Coord d = topo_.coord_of(victim);
-  const topo::Coord s = codec_.is_hypercube() ? (d ^ v) : (d - v);
-  for (std::size_t dim = 0; dim < topo_.num_dims(); ++dim) {
-    if (s[dim] < 0 || s[dim] >= topo_.dim_size(dim)) return std::nullopt;
+  if (victim >= coords_.num_nodes()) {
+    throw std::out_of_range("DdpmIdentifier::identify: bad victim id");
   }
-  return topo_.id_of(s);
+  if (coords_.hypercube()) return victim ^ NodeId(field & codec_.mask());
+  const auto* d = coords_.row(victim);
+  std::array<topo::Coord::value_type, topo::Coord::kMaxDims> s{};
+  for (std::size_t dim = 0; dim < coords_.num_dims(); ++dim) {
+    const int c = int(d[dim]) - pkt::read_signed(field, codec_.slice(dim));
+    if (c < 0 || c >= coords_.radix(dim)) return std::nullopt;
+    s[dim] = topo::Coord::value_type(c);
+  }
+  return coords_.id_of(s.data());
 }
 
 }  // namespace ddpm::mark

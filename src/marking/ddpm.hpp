@@ -14,11 +14,13 @@
 // never overflows mid-route if it can represent the final vector.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
 #include "marking/scheme.hpp"
 #include "packet/marking_field.hpp"
+#include "topology/coord_table.hpp"
 
 namespace ddpm::mark {
 
@@ -52,40 +54,53 @@ class DdpmCodec {
   /// Bit slice assigned to dimension d — the verifier's hook for auditing
   /// the layout (contiguity, width sums) against the Table 3 bit budgets.
   const pkt::FieldSlice& slice(std::size_t d) const { return slices_.at(d); }
+  /// The bits the slices occupy; encode() leaves every other bit clear.
+  std::uint16_t mask() const noexcept { return mask_; }
 
  private:
   std::vector<pkt::FieldSlice> slices_;  // one per dimension
+  std::uint16_t mask_ = 0;
   bool hypercube_;
 };
 
-/// Switch-side DDPM (Figure 4). Stateless apart from the codec; every
-/// operation is an add/XOR plus a field repack — the basis of the paper's
-/// §6.2 low-overhead claim.
+/// Switch-side DDPM (Figure 4). Stateless apart from tables built at
+/// construction (the codec, the coordinate table, one lane per dimension);
+/// every hop is a per-slice add (a word XOR on the hypercube) into the
+/// field — the basis of the paper's §6.2 low-overhead claim.
 class DdpmScheme final : public MarkingScheme {
  public:
-  explicit DdpmScheme(const topo::Topology& topo)
-      : topo_(topo), codec_(topo) {}
+  explicit DdpmScheme(const topo::Topology& topo);
 
   std::string name() const override { return "ddpm"; }
 
   /// Figure 4: V := 0 when the packet enters its first switch.
   void on_injection(pkt::Packet& packet, NodeId at) override;
 
-  /// Figure 4: V' := V + (Y − X); for the hypercube V' := V ⊕ (Y ⊕ X).
+  /// Figure 4: V' := V + (Y − X), slice by slice with saturation; for the
+  /// hypercube V' := V ⊕ (Y ⊕ X). Bits outside the codec's slices are
+  /// cleared, as a full re-encode would.
   void on_forward(pkt::Packet& packet, NodeId current, NodeId next) override;
 
   const DdpmCodec& codec() const noexcept { return codec_; }
 
  private:
-  const topo::Topology& topo_;
+  /// What the per-hop loop needs of dimension d, side by side: its slice,
+  /// the slice's bits, and the largest honest |component|, radix − 1.
+  struct Lane {
+    pkt::FieldSlice slice;
+    std::uint16_t mask;
+    std::int16_t span;
+  };
   DdpmCodec codec_;
+  topo::CoordTable coords_;
+  std::array<Lane, topo::Coord::kMaxDims> lanes_{};
 };
 
 /// Victim-side DDPM: one packet, one answer.
 class DdpmIdentifier final : public SourceIdentifier {
  public:
   explicit DdpmIdentifier(const topo::Topology& topo)
-      : topo_(topo), codec_(topo) {}
+      : codec_(topo), coords_(topo) {}
 
   std::string name() const override { return "ddpm"; }
 
@@ -95,12 +110,12 @@ class DdpmIdentifier final : public SourceIdentifier {
   std::vector<NodeId> observe(const pkt::Packet& packet, NodeId victim) override;
 
   /// Stateless helper for direct use: source from a (victim, marking field)
-  /// pair.
+  /// pair. Throws std::out_of_range for a victim outside the topology.
   std::optional<NodeId> identify(NodeId victim, std::uint16_t field) const;
 
  private:
-  const topo::Topology& topo_;
   DdpmCodec codec_;
+  topo::CoordTable coords_;
 };
 
 }  // namespace ddpm::mark

@@ -51,12 +51,10 @@ inline std::uint16_t write_unsigned(std::uint16_t field, FieldSlice s,
 /// Reads a signed (two's-complement) sub-field into a plain int.
 constexpr int read_signed(std::uint16_t field, FieldSlice s) noexcept {
   DDPM_DCHECK(s.valid(), "malformed field slice");
-  const auto raw = read_unsigned(field, s);
-  const std::uint16_t sign_bit = std::uint16_t(1u << (s.width - 1));
-  if (raw & sign_bit) {
-    return int(raw) - int(1u << s.width);
-  }
-  return int(raw);
+  // Shift the slice's top bit to bit 15, then shift back arithmetically:
+  // the sign extends without a branch.
+  const auto top = std::int16_t(std::uint16_t(field << (16 - s.offset - s.width)));
+  return top >> (16 - s.width);
 }
 
 /// Writes a signed sub-field. Throws std::range_error if `value` is outside

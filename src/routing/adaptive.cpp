@@ -2,31 +2,11 @@
 
 #include <algorithm>
 
-#include "core/check.hpp"
-#include "routing/dor.hpp"
-
 namespace ddpm::route {
 
 PortList AdaptiveRouter::candidates(NodeId current, NodeId dest,
                                     Port /*arrived_on*/) const {
-  PortList out;
-  if (current == dest) return out;
-  if (topo_.kind() == topo::TopologyKind::kHypercube) {
-    const NodeId diff = current ^ dest;
-    for (Port p = 0; p < topo_.num_ports(); ++p) {
-      if (diff & (NodeId(1) << p)) out.push_back(p);
-    }
-    return out;
-  }
-  const topo::Coord a = topo_.coord_of(current);
-  const topo::Coord b = topo_.coord_of(dest);
-  for (std::size_t d = 0; d < topo_.num_dims(); ++d) {
-    const int dir = productive_direction(topo_, d, a[d], b[d]);
-    if (dir != 0) out.push_back(static_cast<Port>(2 * d + (dir > 0 ? 1 : 0)));
-  }
-  DDPM_DCHECK(out.size() <= std::size_t(topo_.num_ports()),
-              "more productive ports than switch ports");
-  return out;
+  return productive_ports(coords_, current, dest);
 }
 
 PortList MisroutingAdaptiveRouter::fallback_candidates(NodeId current,

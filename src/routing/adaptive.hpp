@@ -14,13 +14,15 @@
 #pragma once
 
 #include "routing/router.hpp"
+#include "topology/coord_table.hpp"
 
 namespace ddpm::route {
 
 class AdaptiveRouter : public Router {
  public:
   /// Works on mesh, torus, and hypercube.
-  explicit AdaptiveRouter(const topo::Topology& topo) : Router(topo) {}
+  explicit AdaptiveRouter(const topo::Topology& topo)
+      : Router(topo), coords_(topo) {}
 
   std::string name() const override { return "adaptive"; }
   bool is_deterministic() const noexcept override { return false; }
@@ -29,9 +31,12 @@ class AdaptiveRouter : public Router {
   // whose `candidates` is the same minimal set).
   bool has_static_candidates() const noexcept override { return true; }
 
-  /// Every productive (distance-reducing) port.
+  /// Every productive (distance-reducing) port: productive_ports().
   PortList candidates(NodeId current, NodeId dest,
                       Port arrived_on) const override;
+
+ private:
+  topo::CoordTable coords_;
 };
 
 class MisroutingAdaptiveRouter final : public AdaptiveRouter {

@@ -1,49 +1,14 @@
 #include "routing/dor.hpp"
 
-#include "core/check.hpp"
-
 namespace ddpm::route {
-
-namespace {
-
-constexpr Port cartesian_port(std::size_t dim, int dir) noexcept {
-  return static_cast<Port>(2 * dim + (dir > 0 ? 1 : 0));
-}
-
-}  // namespace
-
-int productive_direction(const topo::Topology& topo, std::size_t d, int a, int b) {
-  if (a == b) return 0;
-  if (topo.kind() == topo::TopologyKind::kTorus) {
-    // Shorter way round; ring_shortest_delta ties go positive.
-    return topo::ring_shortest_delta(a, b, topo.dim_size(d)) > 0 ? +1 : -1;
-  }
-  return b > a ? +1 : -1;
-}
 
 PortList DimensionOrderRouter::candidates(NodeId current, NodeId dest,
                                           Port /*arrived_on*/) const {
-  if (current == dest) return {};
-  if (topo_.kind() == topo::TopologyKind::kHypercube) {
-    // e-cube: flip the lowest-order differing bit.
-    const NodeId diff = current ^ dest;
-    for (Port p = 0; p < topo_.num_ports(); ++p) {
-      if (diff & (NodeId(1) << p)) return {p};
-    }
-    return {};
-  }
-  const topo::Coord a = topo_.coord_of(current);
-  const topo::Coord b = topo_.coord_of(dest);
-  for (std::size_t d = 0; d < topo_.num_dims(); ++d) {
-    const int dir = productive_direction(topo_, d, a[d], b[d]);
-    if (dir != 0) {
-      const Port p = cartesian_port(d, dir);
-      DDPM_DCHECK(p >= 0 && p < topo_.num_ports(),
-                  "dimension-order port escaped the switch radix");
-      return {p};
-    }
-  }
-  return {};
+  // The lowest productive port: the lowest unaligned dimension, or on the
+  // hypercube the lowest differing bit (e-cube).
+  const PortList all = productive_ports(coords_, current, dest);
+  if (all.empty()) return {};
+  return {all.front()};
 }
 
 }  // namespace ddpm::route

@@ -8,25 +8,26 @@
 #pragma once
 
 #include "routing/router.hpp"
+#include "topology/coord_table.hpp"
 
 namespace ddpm::route {
 
 class DimensionOrderRouter final : public Router {
  public:
-  explicit DimensionOrderRouter(const topo::Topology& topo) : Router(topo) {}
+  explicit DimensionOrderRouter(const topo::Topology& topo)
+      : Router(topo), coords_(topo) {}
 
   std::string name() const override { return "dor"; }
   bool is_deterministic() const noexcept override { return true; }
   // One port, chosen from (current, dest) coordinates alone.
   bool has_static_candidates() const noexcept override { return true; }
 
+  /// The one port: the first of productive_ports().
   PortList candidates(NodeId current, NodeId dest,
                       Port arrived_on) const override;
-};
 
-/// Signed step direction (-1 or +1) that dimension-order routing takes in
-/// dimension `d` from coordinate `a` toward `b`, or 0 if already aligned.
-/// Exposed for reuse by the adaptive routers.
-int productive_direction(const topo::Topology& topo, std::size_t d, int a, int b);
+ private:
+  topo::CoordTable coords_;
+};
 
 }  // namespace ddpm::route

@@ -18,6 +18,7 @@
 
 #include "netsim/rng.hpp"
 #include "routing/port_list.hpp"
+#include "topology/coord_table.hpp"
 #include "topology/topology.hpp"
 
 namespace ddpm::route {
@@ -27,6 +28,14 @@ using topo::Port;
 
 /// Sentinel for "injected locally, did not arrive through a port".
 inline constexpr Port kLocalPort = -1;
+
+/// Every productive (distance-reducing) port at `current` toward `target`,
+/// ascending; empty at the target. Hypercube: one port per differing id
+/// bit. Mesh and torus: one port per unaligned dimension, the shorter way
+/// round on a torus (CoordTable::direction). The minimal routers' one
+/// rule, read from the coordinate table.
+PortList productive_ports(const topo::CoordTable& coords, NodeId current,
+                          NodeId target);
 
 /// Dynamic link state the router may consult. Implemented over static
 /// failure sets in tests and over live output-queue occupancy in the

@@ -14,7 +14,7 @@ std::string to_string(TurnModel model) {
 }
 
 TurnModelRouter::TurnModelRouter(const topo::Topology& topo, TurnModel model)
-    : Router(topo), model_(model) {
+    : Router(topo), model_(model), coords_(topo) {
   if (topo.kind() != topo::TopologyKind::kMesh || topo.num_dims() != 2) {
     throw std::invalid_argument("TurnModelRouter requires a 2-D mesh");
   }
@@ -27,9 +27,9 @@ struct Delta {
   int dy;  // >0: south needed, <0: north needed
 };
 
-Delta delta_of(const topo::Topology& topo, NodeId current, NodeId dest) {
-  const topo::Coord a = topo.coord_of(current);
-  const topo::Coord b = topo.coord_of(dest);
+Delta delta_of(const topo::CoordTable& coords, NodeId current, NodeId dest) {
+  const auto* a = coords.row(current);
+  const auto* b = coords.row(dest);
   return {int(b[0]) - int(a[0]), int(b[1]) - int(a[1])};
 }
 
@@ -40,7 +40,7 @@ void drop(PortList& ports, Port banned) { ports.erase_value(banned); }
 PortList TurnModelRouter::candidates(NodeId current, NodeId dest,
                                      Port arrived_on) const {
   if (current == dest) return {};
-  const auto [dx, dy] = delta_of(topo_, current, dest);
+  const auto [dx, dy] = delta_of(coords_, current, dest);
   PortList out;
   switch (model_) {
     case TurnModel::kWestFirst:
@@ -84,7 +84,7 @@ PortList TurnModelRouter::candidates(NodeId current, NodeId dest,
 PortList TurnModelRouter::fallback_candidates(NodeId current, NodeId dest,
                                               Port arrived_on) const {
   if (current == dest) return {};
-  const auto [dx, dy] = delta_of(topo_, current, dest);
+  const auto [dx, dy] = delta_of(coords_, current, dest);
   PortList out;
   switch (model_) {
     case TurnModel::kWestFirst:

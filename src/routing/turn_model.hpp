@@ -23,6 +23,7 @@
 #pragma once
 
 #include "routing/router.hpp"
+#include "topology/coord_table.hpp"
 
 namespace ddpm::route {
 
@@ -54,6 +55,7 @@ class TurnModelRouter final : public Router {
   // (prohibited by every model), and the packet's heading is its opposite
   // (arrived_on ^ 1).
   TurnModel model_;
+  topo::CoordTable coords_;
 };
 
 }  // namespace ddpm::route

@@ -1,7 +1,5 @@
 #include "routing/valiant.hpp"
 
-#include "routing/dor.hpp"
-
 namespace ddpm::route {
 
 namespace {
@@ -10,26 +8,6 @@ std::uint64_t mix(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-PortList productive_ports(const topo::Topology& topo, NodeId current,
-                          NodeId target) {
-  PortList out;
-  if (current == target) return out;
-  if (topo.kind() == topo::TopologyKind::kHypercube) {
-    const NodeId diff = current ^ target;
-    for (Port p = 0; p < topo.num_ports(); ++p) {
-      if (diff & (NodeId(1) << p)) out.push_back(p);
-    }
-    return out;
-  }
-  const topo::Coord a = topo.coord_of(current);
-  const topo::Coord b = topo.coord_of(target);
-  for (std::size_t d = 0; d < topo.num_dims(); ++d) {
-    const int dir = productive_direction(topo, d, a[d], b[d]);
-    if (dir != 0) out.push_back(static_cast<Port>(2 * d + (dir > 0 ? 1 : 0)));
-  }
-  return out;
 }
 
 }  // namespace
@@ -47,7 +25,7 @@ PortList ValiantRouter::candidates(NodeId current, NodeId dest,
   const bool phase_two =
       current == mid ||
       topo_.min_hops(current, dest) < topo_.min_hops(mid, dest);
-  return productive_ports(topo_, current, phase_two ? dest : mid);
+  return productive_ports(coords_, current, phase_two ? dest : mid);
 }
 
 }  // namespace ddpm::route

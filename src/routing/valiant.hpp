@@ -21,13 +21,14 @@
 #pragma once
 
 #include "routing/router.hpp"
+#include "topology/coord_table.hpp"
 
 namespace ddpm::route {
 
 class ValiantRouter final : public Router {
  public:
   explicit ValiantRouter(const topo::Topology& topo, std::uint64_t salt = 0)
-      : Router(topo), salt_(salt) {}
+      : Router(topo), coords_(topo), salt_(salt) {}
 
   std::string name() const override { return "valiant"; }
   bool is_deterministic() const noexcept override { return false; }
@@ -39,6 +40,7 @@ class ValiantRouter final : public Router {
   NodeId intermediate_for(NodeId dest) const;
 
  private:
+  topo::CoordTable coords_;
   std::uint64_t salt_;
 };
 

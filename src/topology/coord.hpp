@@ -99,17 +99,29 @@ struct CoordHash {
 /// reports +k/2 (ties go the positive way round). Both coordinates must
 /// already be in [0, k).
 ///
-/// This helper — together with the coordinate<->id math in
-/// CartesianTopology and Torus::ring_delta, which delegates here — is the
-/// sanctioned home for modular arithmetic on torus coordinates. Raw `%`/`/`
-/// on coordinates anywhere else is flagged by the `torus-wrap` analyzer
-/// rule (docs/STATIC_ANALYSIS.md): ad-hoc wraparound math is exactly the
-/// class of bug the ddpm_verify invariant checker otherwise catches late.
+/// This helper and ring_direction below — together with the
+/// coordinate<->id math in CartesianTopology and Torus::ring_delta, which
+/// delegates here — are the sanctioned home for modular arithmetic on
+/// torus coordinates. Raw `%`/`/` on coordinates anywhere else is flagged
+/// by the `torus-wrap` analyzer rule (docs/STATIC_ANALYSIS.md): ad-hoc
+/// wraparound math is exactly the class of bug the ddpm_verify invariant
+/// checker otherwise catches late.
 constexpr int ring_shortest_delta(int a, int b, int k) noexcept {
   // The audited wrap helper is the one sanctioned home for this modulo;
-  // hot callers reach it through precomputed route/neighbor tables.
+  // hot callers use ring_direction or precomputed route/neighbor tables.
   const int delta = ((b - a) % k + k) % k;  // ddpm-analyze: allow(hot-no-div)
   return delta > k / 2 ? delta - k : delta;
+}
+
+/// Sign of ring_shortest_delta(a, b, k) — the way a minimal route steps
+/// round the ring — without dividing: -1, 0 (a == b) or +1, with the same
+/// tie rule (an even k with |delta| == k/2 goes positive). Both coordinates
+/// must already be in [0, k). The per-hop form of the ring rule: the
+/// routers reach it through CoordTable::direction, never the modulo above.
+constexpr int ring_direction(int a, int b, int k) noexcept {
+  if (a == b) return 0;
+  const int delta = b > a ? b - a : b - a + k;  // forward distance, [1, k)
+  return 2 * delta <= k ? +1 : -1;
 }
 
 }  // namespace ddpm::topo

@@ -96,7 +96,11 @@ class LinkFailureSet {
  public:
   void fail(NodeId a, NodeId b) { failed_.insert(key(a, b)); }
   void restore(NodeId a, NodeId b) { failed_.erase(key(a, b)); }
-  bool is_failed(NodeId a, NodeId b) const { return failed_.count(key(a, b)) != 0; }
+  /// Hashes only when some link has failed: routing asks once per
+  /// candidate port per hop, and the set is usually empty.
+  bool is_failed(NodeId a, NodeId b) const {
+    return !failed_.empty() && failed_.count(key(a, b)) != 0;
+  }
   void clear() { failed_.clear(); }
   std::size_t size() const noexcept { return failed_.size(); }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "marking/ddpm.hpp"
+#include "routing/dor.hpp"
 
 namespace ddpm::cluster {
 namespace {
@@ -81,6 +82,23 @@ TEST(Cluster, TtlExpiryCountsAsDrop) {
   EXPECT_EQ(net.metrics().delivered(), 0u);
 }
 
+TEST(Cluster, PacketTravelsAtMostTtlMinusOneHops) {
+  // Every forwarding switch decrements the TTL and drops at zero, so 6
+  // hops need a TTL of 7: the reach ddpm_sim's missed-zombie warning
+  // compares the hop distance against.
+  for (const std::uint8_t ttl : {std::uint8_t(6), std::uint8_t(7)}) {
+    ClusterNetwork net(quiet_config());
+    net.start();
+    auto p = make_packet(net, 0, 15);  // 6 hops
+    p.header.set_ttl(ttl);
+    ASSERT_TRUE(net.inject(std::move(p), 0));
+    net.run_until(100000);
+    const bool reaches = ttl == 7;
+    EXPECT_EQ(net.metrics().delivered(), reaches ? 1u : 0u) << int(ttl);
+    EXPECT_EQ(net.metrics().dropped_ttl, reaches ? 0u : 1u) << int(ttl);
+  }
+}
+
 TEST(Cluster, QueueOverflowDrops) {
   ClusterConfig config = quiet_config();
   config.queue_capacity = 2;
@@ -94,6 +112,119 @@ TEST(Cluster, QueueOverflowDrops) {
   EXPECT_GT(net.metrics().dropped_queue_full, 0u);
   EXPECT_LT(net.metrics().delivered(), 20u);
   EXPECT_EQ(net.metrics().delivered() + net.metrics().dropped_queue_full, 20u);
+}
+
+// A standalone switch, wired the way an owning network wires one: node 0
+// of mesh:4x4 under dimension-order routing sends everything bound for
+// node 3 out of port 3 (+y) to node 1. Bare 20-byte packets serialize in
+// 20 ticks and propagate for 100, so up to six are on the link at once.
+class StandaloneSwitch : public ::testing::Test {
+ protected:
+  struct Landing {
+    std::uint64_t id;
+    netsim::SimTime at;
+    topo::NodeId from;
+    topo::NodeId to;
+  };
+
+  StandaloneSwitch() {
+    env_.sim = &sim_;
+    env_.topo = topo_.get();
+    env_.router = &router_;
+    env_.links = &links_;
+    env_.metrics = &metrics_;
+    env_.deliver = [](pkt::Packet&&, topo::NodeId) {};
+    env_.arrive = [this](pkt::Packet&& p, topo::NodeId from, topo::NodeId to) {
+      landed_.push_back({p.id, sim_.now(), from, to});
+    };
+    env_.link_latency = 100;
+    env_.queue_capacity = 2;
+  }
+
+  /// Hands a fresh packet for node 3 to the switch, as if from port -x.
+  void send(std::uint64_t id, std::uint32_t payload = 0) {
+    pkt::Packet p;
+    p.id = id;
+    p.dest_node = 3;
+    p.payload_bytes = payload;
+    p.header.set_ttl(64);
+    switch_->handle(std::move(p), 0);
+  }
+
+  std::size_t waiting() const { return switch_->queue_length(kOut); }
+
+  static constexpr topo::Port kOut = 3;
+  netsim::Simulator sim_;
+  std::unique_ptr<topo::Topology> topo_ = topo::make_topology("mesh:4x4");
+  route::DimensionOrderRouter router_{*topo_};
+  route::StaticLinkState links_{*topo_};
+  Metrics metrics_;
+  Switch::Env env_;
+  std::vector<Landing> landed_;
+  std::unique_ptr<Switch> switch_;
+
+  void build() { switch_ = std::make_unique<Switch>(0, &env_, netsim::Rng(1)); }
+};
+
+TEST_F(StandaloneSwitch, QueueLengthCountsOnlyPacketsWaitingForTheLink) {
+  build();
+  send(1);  // starts serializing at once
+  EXPECT_EQ(waiting(), 0u);
+  send(2);
+  send(3);
+  EXPECT_EQ(waiting(), 2u);
+  sim_.run(50);  // 1 and 2 propagating, 3 serializing
+  EXPECT_EQ(waiting(), 0u);
+  send(4);
+  EXPECT_EQ(waiting(), 1u);
+  sim_.run();
+  EXPECT_EQ(waiting(), 0u);
+  EXPECT_EQ(landed_.size(), 4u);
+  EXPECT_EQ(switch_->queue_length(-1), 0u);
+  EXPECT_EQ(switch_->queue_length(99), 0u);
+}
+
+TEST_F(StandaloneSwitch, CapacityDropsCountQueuedPacketsOnly) {
+  build();
+  send(1);
+  send(2);
+  send(3);  // 1 on the link, 2 and 3 fill the queue
+  send(4);
+  EXPECT_EQ(metrics_.dropped_queue_full, 1u);
+  sim_.run(45);  // 1 and 2 propagating, 3 serializing: 3 on the link
+  send(5);
+  send(6);  // the queue is full again with 3 more packets on the link
+  EXPECT_EQ(waiting(), 2u);
+  EXPECT_EQ(metrics_.dropped_queue_full, 1u);
+  send(7);
+  EXPECT_EQ(metrics_.dropped_queue_full, 2u);
+  sim_.run();
+  std::vector<std::uint64_t> ids;
+  for (const Landing& l : landed_) ids.push_back(l.id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 5, 6}));
+}
+
+TEST_F(StandaloneSwitch, ArrivalsKeepTransmissionOrder) {
+  // Mixed sizes: serialization times 20..140 ticks. A packet lands one
+  // link latency after its serialization ends, and serialization is
+  // back to back, so landing order is sending order.
+  const std::uint32_t payloads[] = {120, 0, 60, 0, 0, 30, 90, 0};
+  env_.queue_capacity = 16;
+  build();
+  for (std::uint64_t i = 0; i < std::size(payloads); ++i) {
+    send(i + 1, payloads[i]);
+  }
+  sim_.run();
+  ASSERT_EQ(landed_.size(), std::size(payloads));
+  netsim::SimTime done = 0;
+  for (std::size_t i = 0; i < landed_.size(); ++i) {
+    done += 20 + payloads[i];
+    EXPECT_EQ(landed_[i].id, i + 1);
+    EXPECT_EQ(landed_[i].at, done + 100) << "packet " << i + 1;
+    EXPECT_EQ(landed_[i].from, 0u);
+    EXPECT_EQ(landed_[i].to, 1u);
+  }
+  EXPECT_EQ(metrics_.dropped_queue_full, 0u);
 }
 
 TEST(Cluster, FailedLinkBlocksDeterministicRoute) {

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "core/parse_number.hpp"
+#include "ddpm_reference.hpp"
 #include "hybrid/hybrid.hpp"
 #include "indirect/port_stamp.hpp"
 #include "irregular/irregular.hpp"
@@ -161,18 +162,24 @@ TEST(Fuzz, DdpmIdentifierSafeOnRandomFields) {
 
 TEST(Fuzz, DdpmSchemeSurvivesHostileFieldsMidRoute) {
   // A scheme fed arbitrary field values (tampering) must keep working:
-  // saturating arithmetic, never throwing.
+  // saturating arithmetic, never throwing, and the same field the
+  // whole-vector reference computes.
   const auto topo = topo::make_topology("mesh:6x6");
   mark::DdpmScheme scheme(*topo);
   netsim::Rng rng(6);
   pkt::Packet p;
+  std::uint64_t saturations = 0;
   for (int trial = 0; trial < 20000; ++trial) {
     p.set_marking_field(std::uint16_t(rng.next_u64()));
     const auto a = topo::NodeId(rng.next_below(topo->num_nodes()));
     const auto neighbors = topo->neighbors(a);
     const auto b = neighbors[rng.next_below(neighbors.size())];
+    const std::uint16_t want = reference::ddpm_forward(
+        *topo, scheme.codec(), p.marking_field(), a, b, saturations);
     EXPECT_NO_THROW(scheme.on_forward(p, a, b));
+    EXPECT_EQ(p.marking_field(), want);
   }
+  EXPECT_GT(saturations, 0u);
 }
 
 TEST(Fuzz, PortStampIdentifySafeOnRandomFields) {

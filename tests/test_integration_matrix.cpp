@@ -111,28 +111,72 @@ struct GoldenCell {
   const char* scheme;
   const char* router;
   std::uint64_t digest;  // FNV-1a of to_json(config, report)
+  // The same with the probes compiled out (DDPM_TELEMETRY=OFF): the
+  // report counts its telemetry series, which that build has none of.
+  std::uint64_t digest_no_telemetry;
 };
 
 // PPM identification output, pinned across commits: any change to what the
 // victim-side reconstruction names, or when, moves a digest. The failure
 // prints the new value.
 constexpr GoldenCell kPpmGolden[] = {
-    {"torus:5x5", "ppm-full", "adaptive", 0xafa89c12f27d3db1ULL},
-    {"torus:5x5", "ppm-xor", "adaptive", 0x7eaced0a9e20babdULL},
-    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x416176b3554d5353ULL},
-    {"torus:5x5", "ppm-fragment", "adaptive", 0x1217b1476f92d81fULL},
-    {"mesh:6x6", "ppm-full", "dor", 0x702ab471d569f4c9ULL},
+    {"torus:5x5", "ppm-full", "adaptive", 0xafa89c12f27d3db1ULL,
+     0x85dd27fd0627615aULL},
+    {"torus:5x5", "ppm-xor", "adaptive", 0x7eaced0a9e20babdULL,
+     0x9713d3b3e368a9b6ULL},
+    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x416176b3554d5353ULL,
+     0x1e33949d4747a438ULL},
+    {"torus:5x5", "ppm-fragment", "adaptive", 0x1217b1476f92d81fULL,
+     0xebbafe91b0ba9424ULL},
+    {"mesh:6x6", "ppm-full", "dor", 0x702ab471d569f4c9ULL,
+     0x8fa2d653bd0dcbcdULL},
 };
 
+// The cluster hop itself, pinned across commits: routing, the switch's
+// queues and links, and DDPM/DPM marking all feed these reports, so any
+// change to which port a packet takes, when it lands, or what mark it
+// carries moves a digest. "none" pins the unmarked network alone.
+constexpr GoldenCell kClusterGolden[] = {
+    {"torus:5x5", "ddpm", "adaptive", 0x9c767bc3cb63ad02ULL,
+     0xe682c3f796f9f707ULL},
+    {"torus:5x5", "dpm", "adaptive", 0x0ba5c6ef7b8039beULL,
+     0xc8070b112afa6e53ULL},
+    {"torus:5x5", "none", "adaptive", 0x81300212fa192340ULL,
+     0xac0b47b813987d8fULL},
+    {"mesh:6x6", "ddpm", "dor", 0x83c40a18f6f7b280ULL,
+     0xccba02818ccb502eULL},
+    {"mesh:6x6", "dpm", "dor", 0xd5ef3ca940ade516ULL,
+     0xd6056f0176020b60ULL},
+    {"mesh:6x6", "none", "dor", 0x8cf6d3925b42e76aULL,
+     0x452f68acfee094d2ULL},
+    {"hypercube:5", "ddpm", "adaptive", 0xd0d5c1311f747887ULL,
+     0xe525427c04c2e5d5ULL},
+    {"mesh:4x4x4", "ddpm", "adaptive", 0xa92d80f1b9da9b06ULL,
+     0x06440994baebe6ccULL},
+    {"torus:6x6", "ddpm", "dor", 0x3d083eaf0bb41404ULL,
+     0x230ecac1f9cf920aULL},
+};
+
+void expect_golden(const GoldenCell& g) {
+  const ScenarioConfig config = cell_config(g.topology, g.scheme, g.router);
+  SourceIdentificationSystem system(config);
+  const ScenarioReport report = system.run();
+  const std::uint64_t got = fnv1a(to_json(config, report));
+#if DDPM_TELEMETRY_ENABLED
+  const std::uint64_t want = g.digest;
+#else
+  const std::uint64_t want = g.digest_no_telemetry;
+#endif
+  EXPECT_EQ(got, want) << g.topology << " " << g.scheme << " " << g.router
+                       << ": digest 0x" << std::hex << got;
+}
+
 TEST(PipelineGolden, PpmIdentificationDigestsArePinned) {
-  for (const GoldenCell& g : kPpmGolden) {
-    const ScenarioConfig config = cell_config(g.topology, g.scheme, g.router);
-    SourceIdentificationSystem system(config);
-    const ScenarioReport report = system.run();
-    const std::uint64_t got = fnv1a(to_json(config, report));
-    EXPECT_EQ(got, g.digest) << g.topology << " " << g.scheme << " "
-                             << g.router << ": digest 0x" << std::hex << got;
-  }
+  for (const GoldenCell& g : kPpmGolden) expect_golden(g);
+}
+
+TEST(PipelineGolden, ClusterHopDigestsArePinned) {
+  for (const GoldenCell& g : kClusterGolden) expect_golden(g);
 }
 
 }  // namespace

@@ -29,6 +29,22 @@ TEST(MarkingField, SignedRoundTripAllValues) {
   }
 }
 
+TEST(MarkingField, ReadSignedIsTheSignBitRuleOnEverySliceAndField) {
+  // read_signed sign-extends by shifting; the rule it must match: the
+  // unsigned slice value, minus 2^w when its top bit is set.
+  for (unsigned width = 1; width <= 16; ++width) {
+    for (unsigned offset = 0; offset + width <= 16; ++offset) {
+      const FieldSlice s{offset, width};
+      for (unsigned f = 0; f <= 0xffff; ++f) {
+        const int raw = read_unsigned(std::uint16_t(f), s);
+        const int want = (raw >> (width - 1)) != 0 ? raw - (1 << width) : raw;
+        ASSERT_EQ(read_signed(std::uint16_t(f), s), want)
+            << "offset " << offset << " width " << width << " field " << f;
+      }
+    }
+  }
+}
+
 TEST(MarkingField, SignedRangeChecked) {
   const FieldSlice s{0, 5};
   EXPECT_NO_THROW(write_signed(0, s, -16));

@@ -125,14 +125,14 @@ TEST(DimensionOrder, NoCandidatesAtDestination) {
 }
 
 TEST(ProductiveDirection, MeshAndTorusSemantics) {
-  topo::Mesh m({8, 8});
-  EXPECT_EQ(productive_direction(m, 0, 2, 5), +1);
-  EXPECT_EQ(productive_direction(m, 0, 5, 2), -1);
-  EXPECT_EQ(productive_direction(m, 0, 3, 3), 0);
-  topo::Torus t({8, 8});
-  EXPECT_EQ(productive_direction(t, 0, 0, 6), -1);  // wrap is shorter
-  EXPECT_EQ(productive_direction(t, 0, 0, 3), +1);
-  EXPECT_EQ(productive_direction(t, 0, 0, 4), +1);  // tie goes positive
+  const topo::CoordTable m(topo::Mesh({8, 8}));
+  EXPECT_EQ(m.direction(0, 2, 5), +1);
+  EXPECT_EQ(m.direction(0, 5, 2), -1);
+  EXPECT_EQ(m.direction(0, 3, 3), 0);
+  const topo::CoordTable t(topo::Torus({8, 8}));
+  EXPECT_EQ(t.direction(0, 0, 6), -1);  // wrap is shorter
+  EXPECT_EQ(t.direction(0, 0, 3), +1);
+  EXPECT_EQ(t.direction(0, 0, 4), +1);  // tie goes positive
 }
 
 }  // namespace

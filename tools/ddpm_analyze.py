@@ -1578,7 +1578,8 @@ MESSAGES = {
                                 "nothing (parallel sweep runner)",
     "torus-wrap": "raw % or / on a Coord-typed value — wrap arithmetic "
                   "belongs in the audited ring helpers "
-                  "(ring_shortest_delta / Torus::ring_delta); a hand-rolled "
+                  "(ring_shortest_delta / ring_direction / Torus::ring_delta);"
+                  " a hand-rolled "
                   "wrap that is off by one breaks V = D - S telescoping",
     "stale-suppression": "allow() comment on a line that no longer violates "
                          "the rule — remove it",
