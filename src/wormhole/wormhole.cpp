@@ -50,6 +50,14 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
         std::to_string(num_ports_) + " ports + 1) x " + std::to_string(V) +
         " VCs); the per-node unit masks hold at most 64");
   }
+  if (int(config_.initial_ttl) < topo.diameter()) {
+    throw std::invalid_argument(
+        "WormholeConfig::initial_ttl = " +
+        std::to_string(int(config_.initial_ttl)) + " is below the diameter " +
+        std::to_string(topo.diameter()) + " of " + topo.spec() +
+        ": every allocating switch decrements the TTL once, so a minimal "
+        "route of d hops needs a TTL of at least d");
+  }
   DDPM_CHECK(config_.buffer_flits > 0 && config_.buffer_flits <= 0x7fff,
              "buffer_flits out of range for credit counters");
   build_units();
@@ -78,6 +86,8 @@ void WormholeNetwork::build_units() {
   rr_.assign(N * std::size_t(num_ports_), 0);
   occ_.assign(N, 0);
   req_.assign(N * std::size_t(num_ports_), 0);
+  transit_.assign(N, 0);
+  port_req_.assign(N, 0);
   node_mask_.assign((N + 63) / 64, 0);
   group_mask_.assign((node_mask_.size() + 63) / 64, 0);
   // At most one flit per output port per node lands per cycle.
@@ -216,6 +226,58 @@ bool WormholeNetwork::check_protocol_invariants(std::string* why) const {
       }
     }
   }
+  // Cached masks: the cycle engine reads these instead of the records, so
+  // each must equal what the records say.
+  const std::size_t U = std::size_t(units_);
+  std::vector<std::uint64_t> node_mask(node_mask_.size(), 0);
+  std::vector<std::uint64_t> group_mask(group_mask_.size(), 0);
+  for (NodeId n = 0; n < NodeId(snap.nodes); ++n) {
+    const std::size_t base = std::size_t(n) * U;
+    std::uint64_t occ = 0;
+    for (std::size_t u = 0; u < U; ++u) {
+      if (snap.occupancy[base + u] > 0) occ |= std::uint64_t(1) << u;
+    }
+    if (occ_[n] != occ) {
+      std::ostringstream os;
+      os << "occupancy mask: node " << n << " has occ_ 0x" << std::hex
+         << occ_[n] << " but its non-empty units are 0x" << occ;
+      return fail(os.str());
+    }
+    if (occ != 0) node_mask[n >> 6] |= std::uint64_t(1) << (n & 63);
+    std::uint64_t transit = 0;
+    std::uint64_t ports = 0;
+    for (Port p = 0; p < num_ports_; ++p) {
+      std::uint64_t req = 0;
+      for (std::size_t u = 0; u < U; ++u) {
+        const UnitCtl& ctl = in_[base + u];
+        if (ctl.active != 0 && ctl.out_port == p) req |= std::uint64_t(1) << u;
+      }
+      const std::uint64_t cached =
+          req_[std::size_t(n) * std::size_t(num_ports_) + std::size_t(p)];
+      if (cached != req) {
+        std::ostringstream os;
+        os << "request mask: node " << n << " port " << p << " has req_ 0x"
+           << std::hex << cached << " but the units routed there are 0x"
+           << req;
+        return fail(os.str());
+      }
+      transit |= req;
+      if (req != 0) ports |= std::uint64_t(1) << unsigned(p);
+    }
+    if (transit_[n] != transit || port_req_[n] != ports) {
+      std::ostringstream os;
+      os << "request summary: node " << n << " has transit_ 0x" << std::hex
+         << transit_[n] << " port_req_ 0x" << port_req_[n]
+         << " but its req_ words give 0x" << transit << " and 0x" << ports;
+      return fail(os.str());
+    }
+  }
+  for (std::size_t w = 0; w < node_mask.size(); ++w) {
+    if (node_mask[w] != 0) group_mask[w >> 6] |= std::uint64_t(1) << (w & 63);
+  }
+  if (node_mask != node_mask_ || group_mask != group_mask_) {
+    return fail("active-node bitmap disagrees with the occupancy masks");
+  }
   return true;
 }
 
@@ -227,10 +289,11 @@ std::uint64_t WormholeNetwork::injection_backlog() const {
 
 // --------------------------------------------------------------------------
 // Cycle engine, driven by bitmasks: the allocation pass walks the occupancy
-// mask (one ctz per occupied unit), traversal arbitration walks req & occ
-// rotated to the round-robin pointer, and the node loop walks the two-level
-// active bitmap — all in ascending order, which fixes when probes fire and
-// in which order credits move and VCs are claimed.
+// mask minus the transit mask (one ctz per unit with work), traversal walks
+// the port-request mask and, per port, req & occ rotated to the round-robin
+// pointer, and the node loop walks the two-level active bitmap — all in
+// ascending order, which fixes when probes fire and in which order credits
+// move and VCs are claimed.
 // --------------------------------------------------------------------------
 
 DDPM_HOT void WormholeNetwork::eject(NodeId node, int unit) {
@@ -361,8 +424,11 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
   ctl.out_port = std::int16_t(best_port);
   ctl.out_vc = std::int8_t(best_vc);
   ctl.out_slot = std::int32_t(slot);
+  const std::uint64_t bit = std::uint64_t(1) << unsigned(unit);
   req_[std::size_t(node) * std::size_t(num_ports_) + std::size_t(best_port)] |=
-      (std::uint64_t(1) << unsigned(unit));
+      bit;
+  transit_[node] |= bit;
+  port_req_[node] |= std::uint64_t(1) << unsigned(best_port);
   const NodeId next = table_.neighbor(node, best_port);
   packet.header.decrement_ttl();
   // Scheme polymorphism is the experiment's independent variable — the
@@ -380,16 +446,14 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
   const std::size_t base = std::size_t(node) * std::size_t(units_);
 
   // VC allocation + ejection/discard, over occupied units only. In-transit
-  // units (out_port claimed == some req_ bit set) have nothing to do in
-  // this pass, so they are masked out up front; what remains is units
-  // awaiting allocation, ejection, or discard. The mask snapshot is safe:
-  // this pass can only empty the unit it is processing, never another unit
-  // at this node (and arrivals land after the full node sweep), so
-  // snapshot == live set; emptiness is still re-checked per unit.
+  // units (out_port claimed == some req_ bit set == their transit_ bit)
+  // have nothing to do in this pass, so they are masked out up front; what
+  // remains is units awaiting allocation, ejection, or discard. The mask
+  // snapshot is safe: this pass can only empty the unit it is processing,
+  // never another unit at this node (and arrivals land after the full node
+  // sweep), so snapshot == live set; emptiness is still re-checked per unit.
   const std::size_t rbase = std::size_t(node) * std::size_t(num_ports_);
-  std::uint64_t transit = 0;
-  for (Port p = 0; p < num_ports_; ++p) transit |= req_[rbase + std::size_t(p)];
-  std::uint64_t occ = occ_[node] & ~transit;
+  std::uint64_t occ = occ_[node] & ~transit_[node];
   while (occ != 0) {
     const int unit = __builtin_ctzll(occ);
     occ &= occ - 1;
@@ -423,20 +487,29 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
     }
   }
 
-  // Switch traversal: each output port forwards at most one flit. The
-  // candidate mask (active units routed to this port that hold a flit) is
-  // rotated to the round-robin pointer, so the scan visits units in
-  // wrap-around order from the pointer — including the credit-stall probes
-  // on skipped candidates.
-  for (Port out_port = 0; out_port < num_ports_; ++out_port) {
+  // Switch traversal: each output port forwards at most one flit. Only
+  // ports some unit is routed to are visited, in ascending order (the
+  // others have no candidate). The candidate mask (active units routed to
+  // this port that hold a flit) is rotated to the round-robin pointer, so
+  // the scan visits units in wrap-around order from the pointer —
+  // including the credit-stall probes on skipped candidates. A lone
+  // candidate is its own wrap-around order: no second half-scan.
+  std::uint64_t ports = port_req_[node];
+  while (ports != 0) {
+    const Port out_port = Port(__builtin_ctzll(ports));
+    ports &= ports - 1;
     const std::size_t np = rbase + std::size_t(out_port);
     const std::uint64_t cand = req_[np] & occ_[node];
     if (cand == 0) continue;
     std::uint8_t& rr = rr_[np];
-    const std::uint64_t high =
-        rr == 0 ? cand : (cand >> unsigned(rr)) << unsigned(rr);
-    std::uint64_t part = high != 0 ? high : (cand ^ high);
-    bool wrapped = (high == 0);
+    std::uint64_t high = cand;
+    std::uint64_t part = cand;
+    bool wrapped = true;
+    if ((cand & (cand - 1)) != 0) {
+      high = rr == 0 ? cand : (cand >> unsigned(rr)) << unsigned(rr);
+      part = high != 0 ? high : cand;
+      wrapped = (high == 0);
+    }
     while (part != 0) {
       const int unit = __builtin_ctzll(part);
       part &= part - 1;
@@ -468,7 +541,12 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
         out.allocated = 0;
         ctl.active = 0;
         ctl.out_port = -1;
-        req_[np] &= ~(std::uint64_t(1) << unsigned(unit));
+        const std::uint64_t bit = std::uint64_t(1) << unsigned(unit);
+        req_[np] &= ~bit;
+        transit_[node] &= ~bit;
+        if (req_[np] == 0) {
+          port_req_[node] &= ~(std::uint64_t(1) << unsigned(out_port));
+        }
       }
       arrivals_.push_back(Arrival{
           dst.node, std::uint16_t(dst.unit_base + unsigned(ctl.out_vc)),

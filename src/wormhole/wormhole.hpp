@@ -40,8 +40,11 @@
 // contiguous slab (their ring cursors live in the control record),
 // per-node occupancy and per-(node, port) request bitmasks drive the
 // allocation and traversal passes (one ctz per occupied unit instead of a
-// scan over every unit), and a two-level active-node bitmap lets step()
-// walk exactly the switches holding flits, in ascending node order.
+// scan over every unit), per-node transit and port-request summaries of
+// the request masks let a node visit skip in-transit units and touch only
+// the output ports some unit is routed to, and a two-level active-node
+// bitmap lets step() walk exactly the switches holding flits, in
+// ascending node order.
 //
 // The reference for the cycle semantics is the protocol model
 // (src/verify/model/proto_model.hpp), an engine-free re-statement checked
@@ -98,6 +101,9 @@ struct WormholeConfig {
   /// traffic on the torus then wedges in the textbook hold-and-wait cycle
   /// — the experiment that shows the escape machinery is load-bearing.
   bool disable_escape = false;
+  /// Hop budget, decremented once at every switch that allocates the
+  /// packet an output, so a minimal route of d hops needs d: the
+  /// constructor rejects values below the topology's diameter.
   std::uint8_t initial_ttl = 255;
   /// Not read: the network draws no random numbers. Kept declared, like
   /// the two `true`-only flags below, because the benchmark harness
@@ -119,8 +125,8 @@ class WormholeNetwork {
   /// uses an internal dimension-order router. `scheme` may be null.
   /// Throws std::invalid_argument when the router needs escape VCs that
   /// the config removes, when (ports + 1) * total_vcs() exceeds the 64-bit
-  /// per-node unit masks, or when use_soa_engine or use_route_tables is
-  /// false.
+  /// per-node unit masks, when initial_ttl is below the topology's
+  /// diameter, or when use_soa_engine or use_route_tables is false.
   WormholeNetwork(const topo::Topology& topo, const route::Router& router,
                   mark::MarkingScheme* scheme, WormholeConfig config);
 
@@ -170,7 +176,9 @@ class WormholeNetwork {
   /// Checks the between-cycles protocol invariants on the live state:
   /// credit conservation (upstream credits + downstream occupancy == depth
   /// on every link/VC), no buffer overflow (occupancy <= depth on every
-  /// switch unit), and flit accounting (buffered flits == flits_in_flight).
+  /// switch unit), flit accounting (buffered flits == flits_in_flight),
+  /// and the cached bitmasks the cycle engine reads instead of the records
+  /// (occupancy, active-node, request, transit and port-request masks).
   /// Returns false and describes the first violation in `why` (if given).
   /// This is what a replayed witness must be able to break.
   DDPM_MODEL bool check_protocol_invariants(std::string* why = nullptr) const;
@@ -365,6 +373,12 @@ class WormholeNetwork {
   /// Traversal arbitration iterates req & occ instead of probing every
   /// unit; maintained at allocation (set) and tail departure (clear).
   std::vector<std::uint64_t> req_;
+  /// Per-node summaries of req_, kept beside it at the same two points:
+  /// transit_[n] is the OR of node n's req_ words (the units in transit,
+  /// which the allocation pass skips), and bit p of port_req_[n] is set
+  /// iff req_[n*P + p] != 0 (the ports traversal visits).
+  std::vector<std::uint64_t> transit_;
+  std::vector<std::uint64_t> port_req_;
   /// Active-node bitmap (bit n of word n/64 set = occ_[n] != 0) plus a
   /// summary level (bit w of group_mask_[w/64] = node_mask_[w] != 0):
   /// step() visits exactly the nodes holding flits, in ascending order.

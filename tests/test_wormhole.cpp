@@ -335,13 +335,24 @@ struct DeliveryEvidence {
   bool operator==(const DeliveryEvidence&) const = default;
 };
 
+/// Uniform load: each cycle every node injects with probability `rate`
+/// (to a uniformly drawn other node) for `cycles` cycles. Zero cycles
+/// means the burst instead: 400 random pairs injected before cycle 0.
+struct Load {
+  double rate = 0;
+  std::uint64_t cycles = 0;
+  std::uint32_t payload = 60;
+};
+
 std::vector<DeliveryEvidence> run_traced_scenario(
     const char* spec, const char* router_name, bool use_tables,
-    std::string* telemetry_csv = nullptr) {
+    std::string* telemetry_csv = nullptr, int adaptive_vcs = 1,
+    Load load = {}) {
   const auto topo = topo::make_topology(spec);
   const auto router = route::make_router(router_name, *topo);
   mark::DdpmScheme scheme(*topo);
   WormholeConfig config;
+  config.adaptive_vcs = adaptive_vcs;
   if (!use_tables) config.route_table_max_nodes = 0;  // virtual path
   WormholeNetwork net(*topo, *router, &scheme, config);
   EXPECT_EQ(net.using_route_tables(), use_tables);
@@ -354,17 +365,27 @@ std::vector<DeliveryEvidence> run_traced_scenario(
                                         p.trace});
   });
   netsim::Rng rng(17);
-  for (int i = 0; i < 400; ++i) {
-    const auto s = NodeId(rng.next_below(topo->num_nodes()));
+  std::uint64_t injected = 0;
+  const auto send = [&](NodeId s) {
     auto d = NodeId(rng.next_below(topo->num_nodes()));
     if (d == s) d = (d + 1) % topo->num_nodes();
-    auto p = make_packet(*topo, s, d);
+    auto p = make_packet(*topo, s, d, load.payload);
     p.trace.push_back(s);  // opt into per-hop path tracing
     net.inject(std::move(p), s);
+    ++injected;
+  };
+  if (load.cycles == 0) {
+    for (int i = 0; i < 400; ++i) send(NodeId(rng.next_below(topo->num_nodes())));
+  }
+  for (std::uint64_t c = 0; c < load.cycles; ++c) {
+    for (NodeId s = 0; s < topo->num_nodes(); ++s) {
+      if (rng.next_bool(load.rate)) send(s);
+    }
+    net.step();
   }
   EXPECT_TRUE(net.drain(2000000)) << spec << " " << router_name
                                   << " tables=" << use_tables;
-  EXPECT_EQ(evidence.size(), 400u);
+  EXPECT_EQ(evidence.size(), injected);
   if (telemetry_csv != nullptr) *telemetry_csv = registry.snapshot().to_csv();
   return evidence;
 }
@@ -437,6 +458,45 @@ TEST(Wormhole, GoldenDigestsPinDeliveryAndTelemetry) {
   }
 }
 
+// Cells whose traversal arbitration has more than one candidate per port:
+// two adaptive VCs on torus:4x4 (up to four units compete for one output
+// port, so the round-robin rotation wraps), hypercube:4 adaptive, and
+// torus:8x8 adaptive under the benchmark's load shape (4-flit packets at
+// 0.06 per node per cycle for 2,000 cycles, then a drain). Recorded with
+// the same rules as kGoldenDigests.
+
+struct ArbitrationDigest {
+  const char* spec;
+  int adaptive_vcs;
+  Load load;
+  std::uint64_t delivery;
+  std::uint64_t telemetry;
+};
+
+constexpr ArbitrationDigest kArbitrationDigests[] = {
+    {"torus:4x4", 2, {}, 0xf3e08fe1ed05b209ULL, 0xf90f1d9c262d5ee7ULL},
+    {"hypercube:4", 1, {}, 0x03f5db74c8d61edeULL, 0x1cfe1028ca1d5bdeULL},
+    {"torus:8x8", 1, {0.06, 2000, 44}, 0x55806aafd2bd6750ULL,
+     0xf53d856d3f2e2b46ULL},
+};
+
+TEST(Wormhole, GoldenDigestsPinMultiCandidateArbitration) {
+  for (const ArbitrationDigest& g : kArbitrationDigests) {
+    std::string csv;
+    const auto evidence = run_traced_scenario(g.spec, "adaptive", true, &csv,
+                                              g.adaptive_vcs, g.load);
+    const std::string where = std::string(g.spec) + " adaptive vcs=" +
+                              std::to_string(g.adaptive_vcs);
+    EXPECT_EQ(evidence_digest(evidence), g.delivery)
+        << where << ": delivery digest 0x" << std::hex
+        << evidence_digest(evidence);
+#if DDPM_TELEMETRY_ENABLED
+    EXPECT_EQ(fnv1a(csv), g.telemetry)
+        << where << ": telemetry digest 0x" << std::hex << fnv1a(csv);
+#endif
+  }
+}
+
 TEST(Wormhole, RouteTablesAreByteIdenticalToVirtualPath) {
   for (const char* spec : {"mesh:8x8", "torus:4x4"}) {
     for (const char* router_name : {"dor", "adaptive"}) {
@@ -468,6 +528,62 @@ TEST(Wormhole, RejectsUnitCountBeyondTheMaskWidth) {
   for (int i = 0; i < 50; ++i) net.inject(make_packet(*topo, 0, 15), 0);
   ASSERT_TRUE(net.drain(1000000));
   EXPECT_EQ(net.delivered(), 50u);
+}
+
+TEST(Wormhole, InitialTtlMustCoverTheDiameter) {
+  // Each allocating switch decrements the TTL once, so the corner-to-corner
+  // route of mesh:4x4 (6 hops, the diameter) needs a TTL of exactly 6.
+  const auto topo = topo::make_topology("mesh:4x4");
+  const auto router = route::make_router("adaptive", *topo);
+  WormholeConfig config;
+  config.initial_ttl = 6;
+  WormholeNetwork net(*topo, *router, nullptr, config);
+  net.inject(make_packet(*topo, 0, 15), 0);
+  ASSERT_TRUE(net.drain(10000));
+  EXPECT_EQ(net.delivered(), 1u);
+  EXPECT_EQ(net.dropped_ttl(), 0u);
+
+  config.initial_ttl = 5;
+  try {
+    WormholeNetwork short_ttl(*topo, *router, nullptr, config);
+    ADD_FAILURE() << "initial_ttl 5 below diameter 6 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("initial_ttl = 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("diameter 6"), std::string::npos) << what;
+  }
+}
+
+TEST(Wormhole, CachedMasksHoldAfterEveryCycleUnderLoad) {
+  // check_protocol_invariants also recomputes every cached mask (occupancy,
+  // active-node bitmap, request, transit, port-request) from the unit
+  // records; assert it after each cycle of a loaded run and its drain.
+  for (const char* spec : {"mesh:8x8", "torus:4x4", "hypercube:4"}) {
+    const auto topo = topo::make_topology(spec);
+    const auto router = route::make_router("adaptive", *topo);
+    WormholeConfig config;
+    config.adaptive_vcs = 2;
+    WormholeNetwork net(*topo, *router, nullptr, config);
+    netsim::Rng rng(5);
+    std::string why;
+    bool holds = true;
+    constexpr std::uint64_t kLoadCycles = 800;
+    for (std::uint64_t c = 0; holds && c < 20000; ++c) {
+      const bool loading = c < kLoadCycles;
+      if (!loading && net.flits_in_flight() == 0) break;
+      for (NodeId s = 0; loading && s < topo->num_nodes(); ++s) {
+        if (!rng.next_bool(0.08)) continue;
+        auto d = NodeId(rng.next_below(topo->num_nodes()));
+        if (d == s) d = (d + 1) % topo->num_nodes();
+        net.inject(make_packet(*topo, s, d), s);
+      }
+      net.step();
+      holds = net.check_protocol_invariants(&why);
+    }
+    EXPECT_TRUE(holds) << spec << " after cycle " << net.cycle() << ": "
+                       << why;
+    EXPECT_EQ(net.flits_in_flight(), 0u) << spec;
+  }
 }
 
 TEST(Wormhole, RejectsTheRemovedObjectGraphEngine) {
