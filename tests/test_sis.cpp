@@ -170,5 +170,53 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
   EXPECT_EQ(a.detection_time, b.detection_time);
 }
 
+TEST(EndToEnd, WindowedDetectorTimesArePinned) {
+  // ddpm_sim's default scenario (no flags): torus:8x8, adaptive routing,
+  // DDPM, four zombies flooding node 63 from tick 50000. Each windowed
+  // detector's first alarm is pinned per spoof mode; 0 means no alarm.
+  ScenarioConfig base;
+  base.cluster.topology = "torus:8x8";
+  base.cluster.router = "adaptive";
+  base.cluster.scheme = "ddpm";
+  base.cluster.benign_rate_per_node = 0.0003;
+  base.identifier = "ddpm";
+  base.detect_rate_threshold = 0.005;
+  base.duration = 400000;
+  base.attack.kind = attack::AttackKind::kUdpFlood;
+  base.attack.victim = 63;
+  base.attack.zombies = {10, 17, 24, 55};
+  base.attack.rate_per_zombie = 0.01;
+  base.attack.start_time = 50000;
+
+  struct Pin {
+    const char* detector;
+    attack::SpoofStrategy spoof;
+    netsim::SimTime detection_time;
+  };
+  using attack::SpoofStrategy;
+  const Pin pins[] = {
+      {"cusum", SpoofStrategy::kRandomCluster, 52949},
+      {"cusum", SpoofStrategy::kRandomAny, 52949},
+      {"cusum", SpoofStrategy::kNone, 52839},
+      {"entropy", SpoofStrategy::kRandomCluster, 0},
+      {"entropy", SpoofStrategy::kRandomAny, 175714},
+      {"entropy", SpoofStrategy::kNone, 0},
+      {"sketch-entropy", SpoofStrategy::kRandomCluster, 0},
+      {"sketch-entropy", SpoofStrategy::kRandomAny, 175714},
+      {"sketch-entropy", SpoofStrategy::kNone, 0},
+      {"sketch-cusum", SpoofStrategy::kRandomCluster, 0},
+      {"sketch-cusum", SpoofStrategy::kRandomAny, 0},
+      {"sketch-cusum", SpoofStrategy::kNone, 60000},
+  };
+  for (const Pin& pin : pins) {
+    ScenarioConfig config = base;
+    config.detector = pin.detector;
+    config.attack.spoof = pin.spoof;
+    const ScenarioReport report = SourceIdentificationSystem(config).run();
+    EXPECT_EQ(report.detection_time.value_or(0), pin.detection_time)
+        << pin.detector << " spoof " << attack::to_string(pin.spoof);
+  }
+}
+
 }  // namespace
 }  // namespace ddpm::core
