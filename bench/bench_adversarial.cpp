@@ -15,6 +15,7 @@
 #include "bench_util.hpp"
 #include "detect/detector.hpp"
 #include "marking/ddpm.hpp"
+#include "stream/detectors.hpp"
 #include "transport/tcp.hpp"
 
 namespace {
@@ -100,7 +101,7 @@ void pulsing() {
     attack.pulse_duty = duty;
     net.set_attack(attack);
     detect::RateThresholdDetector ewma(0.006, 4000);
-    detect::CusumDetector cusum(/*window=*/2000, /*benign_mean=*/0.45,
+    stream::CusumDetector cusum(/*window=*/2000, /*benign_mean=*/0.45,
                                 /*slack=*/1.0, /*threshold=*/25.0);
     net.set_delivery_hook([&](const pkt::Packet& p, topo::NodeId at) {
       if (at != 27) return;

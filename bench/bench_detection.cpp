@@ -9,6 +9,7 @@
 #include "bench_util.hpp"
 #include "cluster/network.hpp"
 #include "detect/detector.hpp"
+#include "stream/detectors.hpp"
 
 namespace {
 
@@ -39,7 +40,11 @@ AlarmTimes run(double attack_rate, attack::AttackKind kind) {
   detect::RateThresholdDetector rate(0.005, 2000);
   // Benign baseline: ~63 distinct sources over a 256-packet window gives
   // ~5.9 bits; random-any spoofing drives the window toward 8 bits.
-  detect::EntropyDetector entropy(256, 0.5, 6.8);
+  stream::SketchDetectorTuning entropy_tuning;
+  entropy_tuning.entropy_window = 256;
+  entropy_tuning.entropy_low_bits = 0.5;
+  entropy_tuning.entropy_high_bits = 6.8;
+  stream::SketchEntropyDetector entropy(entropy_tuning);
   detect::SynHalfOpenDetector syn(64, 50000);
   net.set_delivery_hook([&](const pkt::Packet& p, topo::NodeId at) {
     if (at != attack.victim) return;

@@ -1,7 +1,5 @@
 #include "detect/detector.hpp"
 
-#include <algorithm>
-
 namespace ddpm::detect {
 
 void RateThresholdDetector::observe(const pkt::Packet&, netsim::SimTime now) {
@@ -12,68 +10,6 @@ void RateThresholdDetector::observe(const pkt::Packet&, netsim::SimTime now) {
 void RateThresholdDetector::reset() {
   alarm_time_.reset();
   rate_ = netsim::EwmaRate(half_life_);
-}
-
-void EntropyDetector::observe(const pkt::Packet& packet, netsim::SimTime now) {
-  const std::uint32_t src = packet.header.source();
-  recent_.push_back(src);
-  ++counts_[src];
-  if (recent_.size() > window_) {
-    const std::uint32_t old = recent_.front();
-    recent_.pop_front();
-    auto it = counts_.find(old);
-    if (--it->second == 0) counts_.erase(it);
-  }
-  if (recent_.size() < window_) return;
-  const double h = netsim::shannon_entropy(counts_);
-  if (h < low_ || h > high_) latch(now);
-}
-
-void EntropyDetector::reset() {
-  alarm_time_.reset();
-  recent_.clear();
-  counts_.clear();
-}
-
-double EntropyDetector::current_entropy() const {
-  return netsim::shannon_entropy(counts_);
-}
-
-std::size_t EntropyDetector::memory_bytes() const noexcept {
-  // Deque ring + map nodes (key, count, hash link) — approximate, but the
-  // point is the trend: this grows with DISTINCT sources in the window,
-  // capped only by kMaxWindow. stream::SketchEntropyDetector's equivalent
-  // is constant.
-  return recent_.size() * sizeof(std::uint32_t) +
-         counts_.size() *
-             (sizeof(std::uint32_t) + sizeof(std::uint64_t) + 2 * sizeof(void*));
-}
-
-void CusumDetector::advance(netsim::SimTime now) {
-  const std::uint64_t current = now / window_;
-  while (bucket_ < current) {
-    // Close the open window, fold it, and account the empty ones between.
-    s_ = std::max(0.0, s_ + double(in_bucket_) - benign_mean_ - slack_);
-    if (s_ > threshold_) latch((bucket_ + 1) * window_);
-    in_bucket_ = 0;
-    ++bucket_;
-  }
-}
-
-void CusumDetector::observe(const pkt::Packet&, netsim::SimTime now) {
-  advance(now);
-  ++in_bucket_;
-  // Intra-window early alarm: the open bucket alone may already prove it.
-  if (s_ + double(in_bucket_) - benign_mean_ - slack_ > threshold_) {
-    latch(now);
-  }
-}
-
-void CusumDetector::reset() {
-  alarm_time_.reset();
-  s_ = 0.0;
-  bucket_ = 0;
-  in_bucket_ = 0;
 }
 
 void SynHalfOpenDetector::expire(netsim::SimTime now) const {

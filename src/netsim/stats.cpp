@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <utility>
 
 namespace ddpm::netsim {
 
@@ -113,26 +112,6 @@ double EwmaRate::rate(std::uint64_t now) const noexcept {
   if (!seen_) return 0.0;
   const double dt = now >= last_ ? double(now - last_) : 0.0;
   return value_ * std::exp(-decay_per_tick_ * dt);
-}
-
-double shannon_entropy(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& counts) {
-  // Accumulate in sorted-key order: floating-point addition is not
-  // associative, so walking the unordered_map directly would make the
-  // entropy (and every report it feeds) depend on hash iteration order.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> sorted(counts.begin(),
-                                                              counts.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t total = 0;
-  for (const auto& [key, c] : sorted) total += c;
-  if (total == 0) return 0.0;
-  double h = 0.0;
-  for (const auto& [key, c] : sorted) {
-    if (c == 0) continue;
-    const double p = double(c) / double(total);
-    h -= p * std::log2(p);
-  }
-  return h;
 }
 
 }  // namespace ddpm::netsim

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ddpm::netsim {
@@ -88,8 +87,5 @@ class EwmaRate {
   std::uint64_t last_ = 0;
   bool seen_ = false;
 };
-
-/// Shannon entropy (bits) of a categorical distribution given by counts.
-double shannon_entropy(const std::unordered_map<std::uint32_t, std::uint64_t>& counts);
 
 }  // namespace ddpm::netsim

@@ -4,7 +4,8 @@
 // ratchets across windows, so pulsing floods that duck under a static
 // threshold between bursts still accumulate. The flow analyzer feeds it
 // per-window top-destination deltas computed from the Space-Saving
-// summary; detect::CusumDetector is the per-packet sibling.
+// summary; CusumDetector and SketchCusumDetector (detectors.hpp) feed it
+// per-window arrival and top-source counts.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +28,13 @@ class RateCusum {
     s_ += value - mean_ - slack_;
     if (s_ < 0.0) s_ = 0.0;
     return s_ > threshold_;
+  }
+
+  /// True when folding `value` now would cross threshold (fold's sum
+  /// before its clamp at 0); the statistic is left alone. A window still
+  /// open can prove an alarm before it closes.
+  bool would_cross(double value) const noexcept {
+    return s_ + (value - mean_ - slack_) > threshold_;
   }
 
   /// Folds `n` windows of value 0 and leaves exactly the statistic that n

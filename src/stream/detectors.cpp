@@ -51,6 +51,29 @@ std::size_t HeavyHitterDetector::memory_bytes() const noexcept {
   return summary_.memory_bytes();
 }
 
+void CusumDetector::advance(netsim::SimTime now) {
+  const std::uint64_t current = now / window_;
+  while (bucket_ < current) {
+    // Close the open window, fold it, and account the empty ones between.
+    if (cusum_.fold(double(in_bucket_))) latch((bucket_ + 1) * window_);
+    in_bucket_ = 0;
+    ++bucket_;
+  }
+}
+
+void CusumDetector::observe(const pkt::Packet&, netsim::SimTime now) {
+  advance(now);
+  ++in_bucket_;
+  if (cusum_.would_cross(double(in_bucket_))) latch(now);
+}
+
+void CusumDetector::reset() {
+  alarm_time_.reset();
+  cusum_.clear();
+  bucket_ = 0;
+  in_bucket_ = 0;
+}
+
 SketchCusumDetector::SketchCusumDetector(const SketchDetectorTuning& tuning)
     : window_(tuning.cusum_window),
       cusum_(tuning.cusum_mean, tuning.cusum_slack, tuning.cusum_threshold),
@@ -92,22 +115,18 @@ std::unique_ptr<detect::Detector> make_detector(
     return std::make_unique<detect::RateThresholdDetector>(rate_threshold,
                                                            half_life);
   }
-  if (name == "entropy") {
-    return std::make_unique<detect::EntropyDetector>(
-        tuning.entropy_window, tuning.entropy_low_bits,
-        tuning.entropy_high_bits);
+  if (name == "entropy" || name == "sketch-entropy") {
+    return std::make_unique<SketchEntropyDetector>(tuning);
   }
   if (name == "cusum") {
-    return std::make_unique<detect::CusumDetector>(
-        tuning.cusum_window, tuning.cusum_mean, tuning.cusum_slack,
-        tuning.cusum_threshold);
+    return std::make_unique<CusumDetector>(tuning.cusum_window,
+                                           tuning.cusum_mean,
+                                           tuning.cusum_slack,
+                                           tuning.cusum_threshold);
   }
   if (name == "syn-half-open") {
     return std::make_unique<detect::SynHalfOpenDetector>(
         tuning.syn_max_half_open, tuning.syn_timeout);
-  }
-  if (name == "sketch-entropy") {
-    return std::make_unique<SketchEntropyDetector>(tuning);
   }
   if (name == "heavy-hitter") {
     return std::make_unique<HeavyHitterDetector>(tuning);

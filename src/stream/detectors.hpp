@@ -1,9 +1,8 @@
-// Sketch-backed detect::Detector implementations + the detector factory.
+// Windowed detect::Detector implementations + the detector factory.
 //
-// These adapters put the bounded-memory primitives (sketch.hpp,
-// space_saving.hpp, entropy_window.hpp, cusum.hpp) behind the existing
-// victim-side Detector interface so any SIS scenario can select them by
-// name. Unlike the exact detectors in src/detect, every one of these holds
+// These adapters put the bounded-memory primitives (space_saving.hpp,
+// entropy_window.hpp, cusum.hpp) behind the victim-side Detector
+// interface so any SIS scenario can select them by name. Every one holds
 // O(sketch) state regardless of how many distinct sources the attacker
 // spoofs — the property that matters at million-source scale (see
 // docs/STREAMING.md for the bounds).
@@ -24,12 +23,12 @@
 
 namespace ddpm::stream {
 
-/// Shared knobs for the sketch detectors (and the exact detectors the
-/// factory can also build). Defaults suit the scenario-matrix clusters;
-/// the flow analyzer carries its own config (flow_analyzer.hpp).
+/// Shared knobs for every detector the factory builds. Defaults suit the
+/// scenario-matrix clusters; the flow analyzer carries its own config
+/// (flow_analyzer.hpp).
 struct SketchDetectorTuning {
-  // sketch-entropy: window of claimed sources over hashed buckets; alarm
-  // when the windowed entropy leaves [low, high] bits.
+  // entropy / sketch-entropy: window of claimed sources over hashed
+  // buckets; alarm when the windowed entropy leaves [low, high] bits.
   std::uint32_t entropy_window = 4096;
   std::uint32_t entropy_buckets = 2048;
   double entropy_low_bits = 1.0;
@@ -42,7 +41,8 @@ struct SketchDetectorTuning {
   double hh_share = 0.5;
   std::uint64_t hh_min_total = 512;
 
-  // sketch-cusum: per-window top-source counts folded into a CUSUM.
+  // cusum folds per-window arrival counts into a CUSUM, sketch-cusum
+  // per-window top-source counts.
   netsim::SimTime cusum_window = 10'000;
   double cusum_mean = 8.0;
   double cusum_slack = 4.0;
@@ -55,9 +55,10 @@ struct SketchDetectorTuning {
   std::uint64_t seed = 0x5eed'0000'0001ULL;
 };
 
-/// detect::EntropyDetector's sublinear replacement: same alarm rule, but
-/// the window lives in a fixed ring + hashed buckets instead of a
-/// per-source map, so memory is independent of distinct-source count.
+/// Alarms when the claimed-source entropy over the last `entropy_window`
+/// packets leaves [low, high] bits, once the window has filled. The window
+/// lives in a fixed ring + hashed buckets instead of a per-source map, so
+/// memory is independent of distinct-source count.
 class SketchEntropyDetector final : public detect::Detector {
  public:
   explicit SketchEntropyDetector(const SketchDetectorTuning& tuning);
@@ -98,6 +99,40 @@ class HeavyHitterDetector final : public detect::Detector {
   SpaceSavingTopK summary_;
 };
 
+/// CUSUM change-point detector over fixed arrival-count windows.
+///
+/// The classic answer to pulsing (shrew) floods that evade EWMA smoothing
+/// (ablation A7b): the statistic S = max(0, S + count - mean - slack)
+/// RATCHETS across bursts instead of decaying between them, so a 10%-duty
+/// pulse train that never lifts the EWMA above threshold still drives S
+/// over h after a few periods. The open window alarms early once its own
+/// count already proves the crossing.
+class CusumDetector final : public detect::Detector {
+ public:
+  /// `window` ticks per bucket; `benign_mean` the expected benign arrivals
+  /// per bucket; `slack` the per-bucket drift allowance (k); `threshold`
+  /// the alarm level (h), in arrival units.
+  CusumDetector(netsim::SimTime window, double benign_mean, double slack,
+                double threshold)
+      : window_(window), cusum_(benign_mean, slack, threshold) {}
+
+  std::string name() const override { return "cusum"; }
+  void observe(const pkt::Packet& packet, netsim::SimTime now) override;
+  bool alarmed() const noexcept override { return alarm_time_.has_value(); }
+  void reset() override;
+
+  double statistic() const noexcept { return cusum_.statistic(); }
+
+ private:
+  /// Folds completed windows up to `now` into the statistic.
+  void advance(netsim::SimTime now);
+
+  netsim::SimTime window_;
+  std::uint64_t bucket_ = 0;     // index of the open window
+  std::uint64_t in_bucket_ = 0;  // arrivals in the open window
+  RateCusum cusum_;
+};
+
 /// CUSUM over per-window top-source counts: catches pulsing floods whose
 /// bursts duck under rate thresholds but whose busiest source ratchets
 /// the statistic across windows.
@@ -125,8 +160,8 @@ class SketchCusumDetector final : public detect::Detector {
 
 /// Builds a victim-side detector by name:
 ///   "rate-threshold"  detect::RateThresholdDetector(rate_threshold, half_life)
-///   "entropy"         detect::EntropyDetector (exact, capped window)
-///   "cusum"           detect::CusumDetector
+///   "entropy"         SketchEntropyDetector (same as "sketch-entropy")
+///   "cusum"           CusumDetector
 ///   "syn-half-open"   detect::SynHalfOpenDetector
 ///   "sketch-entropy"  SketchEntropyDetector
 ///   "heavy-hitter"    HeavyHitterDetector

@@ -8,6 +8,7 @@
 
 #include "detect/detector.hpp"
 #include "marking/ddpm.hpp"
+#include "stream/detectors.hpp"
 #include "transport/tcp.hpp"
 
 namespace ddpm {
@@ -197,7 +198,7 @@ TEST(Reflector, TwoStageTracingNamesTheRealZombies) {
 }
 
 TEST(Cusum, QuietOnBenignTraffic) {
-  detect::CusumDetector detector(/*window=*/1000, /*benign_mean=*/2.0,
+  stream::CusumDetector detector(/*window=*/1000, /*benign_mean=*/2.0,
                                  /*slack=*/1.0, /*threshold=*/20.0);
   netsim::Rng rng(1);
   pkt::Packet p;
@@ -211,7 +212,7 @@ TEST(Cusum, QuietOnBenignTraffic) {
 }
 
 TEST(Cusum, CatchesSustainedFlood) {
-  detect::CusumDetector detector(1000, 2.0, 1.0, 20.0);
+  stream::CusumDetector detector(1000, 2.0, 1.0, 20.0);
   pkt::Packet p;
   netsim::SimTime t = 0;
   for (int i = 0; i < 300; ++i) {
@@ -237,7 +238,7 @@ TEST(Cusum, CatchesThePulsingAttackEwmaMisses) {
     }
   };
   detect::RateThresholdDetector ewma(0.006, 4000);
-  detect::CusumDetector cusum(/*window=*/2000, /*benign_mean=*/0.4,
+  stream::CusumDetector cusum(/*window=*/2000, /*benign_mean=*/0.4,
                               /*slack=*/1.0, /*threshold=*/25.0);
   feed(ewma);
   feed(cusum);
@@ -246,7 +247,7 @@ TEST(Cusum, CatchesThePulsingAttackEwmaMisses) {
 }
 
 TEST(Cusum, ResetClearsState) {
-  detect::CusumDetector detector(1000, 1.0, 1.0, 5.0);
+  stream::CusumDetector detector(1000, 1.0, 1.0, 5.0);
   pkt::Packet p;
   for (int i = 0; i < 100; ++i) detector.observe(p, netsim::SimTime(i * 10));
   ASSERT_TRUE(detector.alarmed());

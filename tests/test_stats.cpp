@@ -195,21 +195,5 @@ TEST(EwmaRate, QueryBeforeLastObservationClampsToZeroDelta) {
   EXPECT_EQ(rate.rate(999), rate.rate(1000));
 }
 
-TEST(Entropy, UniformIsLogN) {
-  std::unordered_map<std::uint32_t, std::uint64_t> counts;
-  for (std::uint32_t i = 0; i < 8; ++i) counts[i] = 100;
-  EXPECT_NEAR(shannon_entropy(counts), 3.0, 1e-12);
-}
-
-TEST(Entropy, SingleSourceIsZero) {
-  std::unordered_map<std::uint32_t, std::uint64_t> counts{{42, 1000}};
-  EXPECT_EQ(shannon_entropy(counts), 0.0);
-}
-
-TEST(Entropy, EmptyIsZero) {
-  std::unordered_map<std::uint32_t, std::uint64_t> counts;
-  EXPECT_EQ(shannon_entropy(counts), 0.0);
-}
-
 }  // namespace
 }  // namespace ddpm::netsim
