@@ -8,22 +8,14 @@
 
 namespace ddpm::stream {
 
-namespace {
-
-std::uint32_t next_pow2(std::uint32_t v) noexcept {
-  std::uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 SlidingEntropySketch::SlidingEntropySketch(std::uint32_t window,
                                            std::uint32_t buckets,
                                            std::uint64_t seed)
     : seed_(seed) {
   DDPM_CHECK(window > 0, "SlidingEntropySketch: window must be positive");
   DDPM_CHECK(buckets > 0, "SlidingEntropySketch: buckets must be positive");
+  DDPM_CHECK(window <= kMaxPow2, "SlidingEntropySketch: window above 2^31");
+  DDPM_CHECK(buckets <= kMaxPow2, "SlidingEntropySketch: buckets above 2^31");
   window_ = next_pow2(window);
   ring_mask_ = window_ - 1;
   const std::uint32_t bucket_count = next_pow2(buckets);

@@ -22,6 +22,7 @@
 // streams; bench_kernel ratchets `sketch_update` throughput.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,16 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x *= 0xc4ce'b9fe'1a85'ec53ULL;
   x ^= x >> 33;
   return x;
+}
+
+/// Largest size a sketch may round up to a power of two: past 2^31 the
+/// next power of two does not fit 32 bits.
+inline constexpr std::uint32_t kMaxPow2 = std::uint32_t(1) << 31;
+
+/// Smallest power of two >= v, for 0 < v <= kMaxPow2 (the sketch
+/// constructors DDPM_CHECK that range before they call this).
+constexpr std::uint32_t next_pow2(std::uint32_t v) noexcept {
+  return std::bit_ceil(v);
 }
 
 /// Maps a 64-bit hash onto [0, range) without division: take the high 32

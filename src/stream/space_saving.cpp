@@ -7,20 +7,12 @@
 
 namespace ddpm::stream {
 
-namespace {
-
-std::uint32_t next_pow2(std::uint32_t v) noexcept {
-  std::uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 SpaceSavingTopK::SpaceSavingTopK(std::uint32_t capacity, std::uint64_t seed)
     : capacity_(capacity), seed_(seed) {
   DDPM_CHECK(capacity_ > 0, "SpaceSavingTopK: capacity must be positive");
   // 4x headroom keeps linear-probe chains short at full occupancy.
+  DDPM_CHECK(capacity_ <= kMaxPow2 / 4,
+             "SpaceSavingTopK: capacity above 2^29 (4x table past 2^31)");
   const std::uint32_t table_size = next_pow2(std::max(capacity_ * 4, 8u));
   table_mask_ = table_size - 1;
   heap_.reserve(capacity_);

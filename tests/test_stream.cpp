@@ -373,6 +373,33 @@ TEST(EntropySketch, ClearResets) {
   EXPECT_EQ(sketch.entropy_bits(), 0.0);
 }
 
+TEST(SketchSize, NextPow2CoversTheWholeRange) {
+  static_assert(next_pow2(1) == 1);
+  static_assert(next_pow2(3) == 4);
+  static_assert(next_pow2(4096) == 4096);
+  static_assert(next_pow2(kMaxPow2 / 2 + 1) == kMaxPow2);
+  static_assert(next_pow2(kMaxPow2) == kMaxPow2);
+  SUCCEED();
+}
+
+// Sizes whose power-of-two rounding would pass 2^31 abort up front. The
+// window and bucket counts used to spin forever (p <<= 1 wraps to 0), and
+// a Space-Saving capacity of 2^30 wrapped capacity * 4 to an 8-slot table
+// whose find() never ends once full.
+TEST(SketchSizeDeathTest, EntropySketchRejectsSizesAbove2To31) {
+  EXPECT_DEATH((void)SlidingEntropySketch(kMaxPow2 + 1, 64, 1),
+               "window above 2\\^31");
+  EXPECT_DEATH((void)SlidingEntropySketch(64, kMaxPow2 + 1, 1),
+               "buckets above 2\\^31");
+}
+
+TEST(SketchSizeDeathTest, SpaceSavingRejectsCapacityThatWrapsItsTable) {
+  EXPECT_DEATH((void)SpaceSavingTopK(kMaxPow2 / 4 + 1, 1),
+               "capacity above 2\\^29");
+  EXPECT_DEATH((void)SpaceSavingTopK(std::uint32_t(1) << 30, 1),
+               "capacity above 2\\^29");
+}
+
 TEST(RateCusum, RatchetsAcrossBursts) {
   RateCusum cusum(10.0, 5.0, 100.0);
   // Benign windows hover at the mean: statistic stays pinned at 0.
@@ -430,6 +457,17 @@ TEST(RateCusum, FoldZerosMatchesRepeatedFolds) {
   EXPECT_EQ(drain.statistic(), 1001.0);
   drain.fold_zeros(std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(drain.statistic(), 0.0);
+}
+
+TEST(RateCusum, WouldCrossPredictsFoldAndLeavesTheStatistic) {
+  RateCusum cusum(2.0, 1.0, 20.0);
+  for (const double value : {0.0, 5.0, 30.0, 3.0, 23.0, 24.0, 0.0}) {
+    RateCusum folded = cusum;
+    const double before = cusum.statistic();
+    EXPECT_EQ(cusum.would_cross(value), folded.fold(value)) << value;
+    EXPECT_EQ(cusum.statistic(), before);
+    cusum.fold(value);
+  }
 }
 
 pkt::Packet make_packet(std::uint32_t src) {
