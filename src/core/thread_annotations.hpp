@@ -11,9 +11,8 @@
 //
 // Keep the surface small: shared mutable state is a design smell in this
 // codebase (replications share nothing, the analyzer's
-// no-shared-mutable-static rule enforces it) — the only sanctioned users
-// are the parallel runner's error slot and the telemetry registry's
-// registration path.
+// no-shared-mutable-static rule enforces it) — the only sanctioned user
+// is the parallel runner's error slot.
 #pragma once
 
 #include <mutex>

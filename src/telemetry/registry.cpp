@@ -44,14 +44,12 @@ SlotT* Registry::find_or_create(
 
 Counter Registry::counter(std::string_view name, std::string_view labels) {
   if (!enabled_) return Counter{};
-  const core::MutexLock lock(mutex_);
   return Counter(
       find_or_create(counters_, counter_index_, make_key(name, labels)));
 }
 
 Gauge Registry::gauge(std::string_view name, std::string_view labels) {
   if (!enabled_) return Gauge{};
-  const core::MutexLock lock(mutex_);
   return Gauge(find_or_create(gauges_, gauge_index_, make_key(name, labels)));
 }
 
@@ -59,7 +57,6 @@ HistogramHandle Registry::histogram(std::string_view name,
                                     std::string_view labels, double lo,
                                     double hi, std::size_t bins) {
   if (!enabled_) return HistogramHandle{};
-  const core::MutexLock lock(mutex_);
   auto* slot = find_or_create(histograms_, histogram_index_,
                               make_key(name, labels));
   if (slot->bins.empty()) {
@@ -72,7 +69,6 @@ HistogramHandle Registry::histogram(std::string_view name,
 }
 
 MetricsSnapshot Registry::snapshot() const {
-  const core::MutexLock lock(mutex_);
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [key, value] : counters_) {
@@ -96,7 +92,6 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  const core::MutexLock lock(mutex_);
   for (auto& [key, value] : counters_) value = 0;
   for (auto& [key, slot] : gauges_) slot = Gauge::Slot{};
   for (auto& [key, slot] : histograms_) {

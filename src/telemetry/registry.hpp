@@ -16,13 +16,11 @@
 //     independent replications merge in replication order, which keeps
 //     aggregate telemetry bit-identical for any --jobs value.
 //
-// Threading contract: the hot path (handles) is single-writer, like the
-// simulator that feeds it — one registry per ClusterNetwork / replication,
-// merged after the fact, never shared across workers. The cold paths
-// (registration, snapshot, reset) ARE serialized by an annotated mutex so
-// concurrent model construction under the parallel runner cannot corrupt
-// the slot maps; Clang's -Wthread-safety proves the locking discipline at
-// compile time (src/core/thread_annotations.hpp, docs/STATIC_ANALYSIS.md).
+// Threading contract: a registry is single-threaded, like the simulator
+// that feeds it — one registry per ClusterNetwork / replication, built,
+// written and snapshotted inside one parallel-runner task, and merged
+// after the fact through its MetricsSnapshot, never shared across
+// workers. Nothing in it locks.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "core/shard_annotations.hpp"
-#include "core/thread_annotations.hpp"
 
 namespace ddpm::telemetry {
 
@@ -176,27 +173,23 @@ class Registry {
 
   bool enabled() const noexcept { return enabled_; }
 
-  Counter counter(std::string_view name, std::string_view labels = {})
-      DDPM_EXCLUDES(mutex_);
-  Gauge gauge(std::string_view name, std::string_view labels = {})
-      DDPM_EXCLUDES(mutex_);
+  Counter counter(std::string_view name, std::string_view labels = {});
+  Gauge gauge(std::string_view name, std::string_view labels = {});
   HistogramHandle histogram(std::string_view name, std::string_view labels,
-                            double lo, double hi, std::size_t bins)
-      DDPM_EXCLUDES(mutex_);
+                            double lo, double hi, std::size_t bins);
 
   /// Number of registered series.
-  std::size_t size() const DDPM_EXCLUDES(mutex_) {
-    const core::MutexLock lock(mutex_);
+  std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
   /// Freezes current values, sorted by key. DDPM_DET_SINK: snapshots feed
   /// the deterministic JSON/CSV artifacts, so the freeze path must walk
   /// the key-sorted series lists, never the unordered lookup indexes.
-  DDPM_DET_SINK MetricsSnapshot snapshot() const DDPM_EXCLUDES(mutex_);
+  DDPM_DET_SINK MetricsSnapshot snapshot() const;
 
   /// Zeroes every slot; registrations (and outstanding handles) survive.
-  void reset() DDPM_EXCLUDES(mutex_);
+  void reset();
 
   static std::string make_key(std::string_view name, std::string_view labels);
 
@@ -204,25 +197,16 @@ class Registry {
   template <typename SlotT>
   SlotT* find_or_create(std::deque<std::pair<std::string, SlotT>>& slots,
                         std::unordered_map<std::string, SlotT*>& index,
-                        std::string key) DDPM_REQUIRES(mutex_);
+                        std::string key);
 
   bool enabled_;
-  /// Serializes registration/snapshot/reset; the handles' slot writes are
-  /// outside its scope by design (single-writer hot path, see file comment).
-  mutable core::Mutex mutex_;
   // Deques: slot addresses must stay stable as registration continues.
-  std::deque<std::pair<std::string, std::uint64_t>> counters_
-      DDPM_GUARDED_BY(mutex_);
-  std::deque<std::pair<std::string, Gauge::Slot>> gauges_
-      DDPM_GUARDED_BY(mutex_);
-  std::deque<std::pair<std::string, HistogramHandle::Slot>> histograms_
-      DDPM_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::uint64_t*> counter_index_
-      DDPM_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, Gauge::Slot*> gauge_index_
-      DDPM_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, HistogramHandle::Slot*> histogram_index_
-      DDPM_GUARDED_BY(mutex_);
+  std::deque<std::pair<std::string, std::uint64_t>> counters_;
+  std::deque<std::pair<std::string, Gauge::Slot>> gauges_;
+  std::deque<std::pair<std::string, HistogramHandle::Slot>> histograms_;
+  std::unordered_map<std::string, std::uint64_t*> counter_index_;
+  std::unordered_map<std::string, Gauge::Slot*> gauge_index_;
+  std::unordered_map<std::string, HistogramHandle::Slot*> histogram_index_;
 };
 
 }  // namespace ddpm::telemetry
