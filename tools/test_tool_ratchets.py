@@ -361,8 +361,8 @@ class AnalyzeTest(unittest.TestCase):
             fh.write(text)
 
     def analyze(self, *args):
-        return run(ANALYZE, "--frontend", "textual",
-                   "--baseline", "baseline.json", self.tmp.name, *args)
+        return run(ANALYZE, "--baseline", "baseline.json", self.tmp.name,
+                   *args)
 
     def test_unscoped_run_reports_both_rules(self):
         p = self.analyze()
