@@ -3,12 +3,11 @@
 // `tools/ddpm_analyze.py` builds a call graph over the tree and treats
 // every function marked DDPM_HOT — plus everything reachable from it —
 // as flit-critical: the hot-no-alloc / hot-no-virtual / hot-no-lock /
-// hot-no-throw-io rules then prove (statically, both frontends) that the
-// steady-state loop performs no heap allocation, no per-flit virtual
-// dispatch, no locking, and no throwing or console I/O. The macros are
-// deliberately lexical tokens: the analyzer's bundled textual frontend
-// recognizes them without preprocessing, so local runs without libclang
-// enforce the same closure CI does.
+// hot-no-throw-io rules then prove (statically) that the steady-state
+// loop performs no heap allocation, no per-flit virtual dispatch, no
+// locking, and no throwing or console I/O. The macros are deliberately
+// lexical tokens: the analyzer's textual frontend recognizes them without
+// preprocessing or a compiler.
 //
 // DDPM_HOT            annotates a function *definition* as a hot-path
 //                     root (place it before the return type).
@@ -19,11 +18,8 @@
 //                     rule fails.
 // DDPM_HOT_LAYOUT(T, size, align)
 //                     certifies the expected size/alignment of T on the
-//                     LP64 reference platform. Expands to a static_assert
-//                     (so silent layout drift breaks the build) and is
-//                     cross-checked against the real record layout by the
-//                     analyzer's libclang frontend — which runs at
-//                     configure time, before any compile.
+//                     LP64 reference platform. Expands to a static_assert,
+//                     so silent layout drift breaks every build.
 //
 // Contract-macro interaction: DDPM_CHECK/DDPM_DCHECK bodies live behind
 // their macros, so the hot rules never see the (cold, allocation-free)

@@ -5,7 +5,7 @@
 // snapshot accessors and invariant probes on the production WormholeNetwork
 // that the witness-replay harness calls between cycles. The annotation is a
 // lexical token (like DDPM_HOT) so the contract is greppable and the
-// analyzer frontends can see it without preprocessing; it expands to
+// analyzer can see it without preprocessing; it expands to
 // nothing — annotated members are ordinary cold methods.
 //
 // DDPM_MODEL_MUTATION(kind) is the negative-control hook: it seeds known

@@ -7,9 +7,8 @@
 // graph over the tree and uses these annotations as the taint vocabulary
 // for four rules (det-taint, shard-isolation, rng-stream-discipline,
 // tick-domain; see docs/STATIC_ANALYSIS.md). Like DDPM_HOT, the macros
-// are deliberately lexical tokens: the analyzer's bundled textual
-// frontend recognizes them without preprocessing, so local runs without
-// libclang enforce the same closures CI does.
+// are deliberately lexical tokens: the analyzer's textual frontend
+// recognizes them without preprocessing or a compiler.
 //
 // DDPM_DET_SOURCE     annotates a function whose result (or scheduling
 //                     effect) depends on the execution environment —

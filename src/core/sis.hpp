@@ -34,8 +34,8 @@ struct ScenarioConfig {
   std::string identifier = "ddpm";
 
   /// Victim-side detector (stream::make_detector): "rate-threshold",
-  /// "entropy", "cusum", "syn-half-open", or the sublinear sketch trio
-  /// "sketch-entropy" / "heavy-hitter" / "sketch-cusum".
+  /// "syn-half-open", "cusum", "sketch-cusum", "heavy-hitter", or
+  /// "entropy" / "sketch-entropy" (two names for one detector).
   std::string detector = "rate-threshold";
 
   /// Rate-threshold knobs: EWMA inbound rate (packets/tick) at the victim.

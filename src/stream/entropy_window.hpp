@@ -1,9 +1,8 @@
 // Sliding-window entropy estimator over hashed buckets.
 //
-// Exact sliding-window source entropy needs a per-source count map — the
-// unbounded-memory trap detect::EntropyDetector fell into before it was
-// capped. This sketch folds sources into `buckets` hashed counters and
-// maintains the window incrementally:
+// Exact sliding-window source entropy needs a per-source count map, whose
+// size a spoofing attacker controls. This sketch folds sources into
+// `buckets` hashed counters and maintains the window incrementally:
 //
 //   H_bucket = log2(n) - (1/n) * sum_b c_b * log2(c_b)
 //

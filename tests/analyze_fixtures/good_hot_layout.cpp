@@ -1,7 +1,7 @@
 // ddpm_analyze fixture: layout-certified MUST-PASS case.
-// The DDPM_HOT_LAYOUT pin matches the real LP64 layout of the record
-// (two ints: 8 bytes, 4-byte alignment), so the libclang cross-check and
-// the textual presence check both come out clean.
+// The record carries a DDPM_HOT_LAYOUT pin matching its real LP64 layout
+// (two ints: 8 bytes, 4-byte alignment), so the presence check comes out
+// clean.
 #define DDPM_HOT_STATE
 #define DDPM_HOT_LAYOUT(TYPE, SIZE, ALIGN)
 
