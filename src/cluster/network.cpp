@@ -120,10 +120,11 @@ void ClusterNetwork::set_tracer(telemetry::Tracer* tracer) {
 }
 
 telemetry::MetricsSnapshot ClusterNetwork::telemetry_snapshot() {
-  // Kernel and network aggregates live outside the registry (the kernel so
-  // its hot loop never touches telemetry slots; Metrics because it predates
-  // the registry). Publish them as gauges at snapshot time: gauge values sum
-  // across replication merges, exactly like the counters they mirror.
+  // One store per count: the kernel keeps its own counters (so its hot loop
+  // never touches telemetry slots), Metrics holds the network aggregates,
+  // and the registry's own series hold only the per-switch and per-port
+  // breakdowns. Publish the aggregates as gauges at snapshot time: gauge
+  // values sum across replication merges, exactly like counters.
   registry_.gauge("sim.events_executed").set(double(sim_.events_executed()));
   registry_.gauge("sim.clamped_schedules").set(double(sim_.clamped_events()));
   registry_.gauge("sim.now_ticks").set(double(sim_.now()));

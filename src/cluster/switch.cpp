@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/check.hpp"
+
 namespace ddpm::cluster {
 
 std::vector<std::string> telemetry_port_labels(const topo::Topology& topo) {
@@ -46,13 +48,11 @@ Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
     port.fifo.reserve(env_->queue_capacity + on_link);
     port.neighbor = env_->topo->neighbor(id_, p).value_or(topo::kInvalidNode);
   }
-  // Labels are a function of the topology alone; the owning network builds
-  // them once and shares them (hoisted out of this ctor, which used to
-  // allocate the full label set per switch).
-  if (env_->port_labels != nullptr) {
-    probes_.bind(env_->registry, id_, *env_->port_labels);
-  } else {
-    probes_.bind(env_->registry, id_, telemetry_port_labels(*env_->topo));
+  // A standalone switch (no registry) has no series to bind.
+  if (env_->registry != nullptr) {
+    DDPM_CHECK(env_->port_labels != nullptr,
+               "a switch with a registry needs the network's port labels");
+    probes_.bind(*env_->registry, id_, *env_->port_labels);
   }
 }
 
@@ -87,10 +87,7 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
     return;
   }
   const NodeId next = out.neighbor;
-  if (env_->scheme != nullptr) {
-    env_->scheme->on_forward(packet, id_, next);
-    probes_.on_mark_hook();
-  }
+  if (env_->scheme != nullptr) env_->scheme->on_forward(packet, id_, next);
   ++packet.hops;
   if (!packet.trace.empty()) packet.trace.push_back(next);
   out.fifo.push_back(std::move(packet));

@@ -44,8 +44,8 @@ class Switch {
     /// the driver; the network rebinds it on all switches via set_tracer().
     telemetry::Tracer* tracer = nullptr;
     /// Telemetry port labels, built once by the owning network and shared
-    /// by every switch (they are identical across a topology). Nullable:
-    /// a standalone switch builds its own.
+    /// by every switch (they are identical across a topology). Required
+    /// when `registry` is set; unread otherwise.
     const std::vector<std::string>* port_labels = nullptr;
     /// Hands a packet to the local compute node.
     std::function<void(pkt::Packet&&, NodeId at)> deliver;

@@ -1,9 +1,10 @@
 // Shard-safety and determinism annotations for the static taint analyzer.
 //
-// ROADMAP item 2 (one production-scale run partitioned across worker
-// threads with a deterministic cross-shard merge) needs its central
-// invariant — sharded output byte-identical to serial — proven before the
-// engine exists. `tools/ddpm_analyze.py` builds an interprocedural call
+// Sharding one run across worker threads with a deterministic cross-shard
+// merge (parked on ROADMAP; `--jobs` parallelizes whole replications
+// instead) would need its central invariant — sharded output
+// byte-identical to serial — proven before the engine exists.
+// `tools/ddpm_analyze.py` builds an interprocedural call
 // graph over the tree and uses these annotations as the taint vocabulary
 // for four rules (det-taint, shard-isolation, rng-stream-discipline,
 // tick-domain; see docs/STATIC_ANALYSIS.md). Like DDPM_HOT, the macros

@@ -85,9 +85,11 @@ struct ScenarioReport {
   /// Packets the identifier consumed before its first correct answer.
   std::uint64_t packets_to_first_identification = 0;
 
-  /// Every registered telemetry series at end of run (per-switch drops,
-  /// marks, pipeline counters, kernel gauges, ...). Empty when the cluster
-  /// config disables telemetry or the build compiled it out.
+  /// Every registered telemetry series at end of run (per-switch queue
+  /// depths and deliveries, per-port link counters, marks, pipeline
+  /// counters, kernel gauges, ...). Drop counts are in `metrics`. Empty
+  /// when the cluster config disables telemetry or the build compiled it
+  /// out.
   telemetry::MetricsSnapshot telemetry;
 
   std::string summary() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace ddpm::netsim {
 
@@ -38,56 +37,6 @@ void RunningStat::merge(const RunningStat& other) noexcept {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   n_ += other.n_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / double(bins)), counts_(bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    // Floating-point bin scaling; a reciprocal multiply would move bin
-    // boundaries by an ulp and silently reshuffle edge samples.
-    ++counts_[static_cast<std::size_t>((x - lo_) / width_)];  // ddpm-analyze: allow(hot-no-div)
-  }
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = q * double(total_);
-  double cum = double(underflow_);
-  if (cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + double(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / double(counts_[i]);
-      return bin_low(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string(std::size_t max_rows) const {
-  std::ostringstream os;
-  const std::size_t step = std::max<std::size_t>(1, counts_.size() / max_rows);
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); i += step) {
-    std::uint64_t row = 0;
-    for (std::size_t j = i; j < std::min(i + step, counts_.size()); ++j) {
-      row += counts_[j];
-    }
-    os << "[" << bin_low(i) << ", " << bin_low(i) + width_ * double(step) << ") ";
-    const auto bar = static_cast<std::size_t>(40.0 * double(row) / double(peak));
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << ' ' << row << '\n';
-  }
-  return os.str();
 }
 
 EwmaRate::EwmaRate(double half_life) noexcept

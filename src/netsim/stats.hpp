@@ -1,11 +1,9 @@
 // Streaming statistics used throughout the simulator: running moments
-// (Welford), fixed-bin histograms, EWMA rate estimation, and Shannon
-// entropy over categorical counts.
+// (Welford) and EWMA rate estimation. Binned distributions are
+// telemetry::HistogramHandle series.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace ddpm::netsim {
 
@@ -35,35 +33,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples land in
-/// saturating underflow/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  std::uint64_t total() const noexcept { return total_; }
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  double bin_low(std::size_t i) const noexcept { return lo_ + double(i) * width_; }
-
-  /// Approximate quantile (q in [0,1]) by linear interpolation inside the
-  /// bin that crosses the target rank. Returns lo/hi bounds at the extremes.
-  double quantile(double q) const noexcept;
-
-  std::string to_string(std::size_t max_rows = 20) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 /// Exponentially weighted moving average of an event rate. Feed it event

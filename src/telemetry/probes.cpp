@@ -11,27 +11,21 @@ void name_standard_processes(Tracer& tracer) {
 
 #if DDPM_TELEMETRY_ENABLED
 
-void SwitchProbes::bind(Registry* registry, std::uint32_t switch_id,
+void SwitchProbes::bind(Registry& registry, std::uint32_t switch_id,
                         const std::vector<std::string>& port_labels) {
-  if (registry == nullptr) return;
   const std::string sw = "switch=" + std::to_string(switch_id);
-  forwarded_ = registry->counter("switch.forwarded", sw);
-  delivered_ = registry->counter("switch.delivered_local", sw);
-  mark_hooks_ = registry->counter("switch.mark_hooks", sw);
-  drop_queue_full_ = registry->counter("switch.drop_queue_full", sw);
-  drop_no_route_ = registry->counter("switch.drop_no_route", sw);
-  drop_ttl_ = registry->counter("switch.drop_ttl", sw);
+  delivered_ = registry.counter("switch.delivered_local", sw);
   // Queue occupancy in packets; the upper edge tracks the deepest queue a
   // default config allows (capacity 16) with headroom for larger configs.
-  queue_depth_ = registry->histogram("switch.queue_depth", sw, 0.0, 64.0, 64);
+  queue_depth_ = registry.histogram("switch.queue_depth", sw, 0.0, 64.0, 64);
   port_tx_packets_.reserve(port_labels.size());
   port_tx_bytes_.reserve(port_labels.size());
   port_busy_ticks_.reserve(port_labels.size());
   for (const std::string& label : port_labels) {
     const std::string port = sw + ",port=" + label;
-    port_tx_packets_.push_back(registry->counter("link.tx_packets", port));
-    port_tx_bytes_.push_back(registry->counter("link.tx_bytes", port));
-    port_busy_ticks_.push_back(registry->counter("link.busy_ticks", port));
+    port_tx_packets_.push_back(registry.counter("link.tx_packets", port));
+    port_tx_bytes_.push_back(registry.counter("link.tx_bytes", port));
+    port_busy_ticks_.push_back(registry.counter("link.busy_ticks", port));
   }
 }
 
@@ -62,8 +56,6 @@ void WormholeProbes::bind(Registry* registry) {
   vc_allocs_ = registry->counter("wormhole.vc_allocs");
   alloc_stalls_ = registry->counter("wormhole.alloc_stalls");
   credit_stalls_ = registry->counter("wormhole.credit_stalls");
-  flits_forwarded_ = registry->counter("wormhole.flits_forwarded");
-  delivered_ = registry->counter("wormhole.delivered_packets");
   buffer_occupancy_ =
       registry->histogram("wormhole.buffer_occupancy", {}, 0.0, 32.0, 32);
 }

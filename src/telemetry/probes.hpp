@@ -61,33 +61,29 @@ struct KernelProbes {
   Tracer* tracer_ = nullptr;
 };
 
-/// Per-switch observability: forward/deliver/drop/mark counters, a queue-
-/// depth histogram sampled at every enqueue, and per-port link counters
-/// (`switch=3,port=+x` labels).
+/// Per-switch observability: local deliveries, a queue-depth histogram
+/// sampled at every forward (its `total` is the switch's forward count),
+/// per-port link counters (`switch=3,port=+x` labels), and drop instants on
+/// the trace. The network-wide drop counts live in `cluster::Metrics`.
 struct SwitchProbes {
-  void bind(Registry* registry, std::uint32_t switch_id,
+  void bind(Registry& registry, std::uint32_t switch_id,
             const std::vector<std::string>& port_labels);
 
   void on_local_delivery() { delivered_.inc(); }
   void on_forward(std::size_t queue_depth_after) {
-    forwarded_.inc();
     queue_depth_.add(double(queue_depth_after));
   }
-  void on_mark_hook() { mark_hooks_.inc(); }
   void on_drop_queue_full(Tracer* tracer, std::uint32_t switch_id) {
-    drop_queue_full_.inc();
     if (tracer != nullptr) {
       tracer->instant("drop.queue_full", kPidCluster, switch_id);
     }
   }
   void on_drop_no_route(Tracer* tracer, std::uint32_t switch_id) {
-    drop_no_route_.inc();
     if (tracer != nullptr) {
       tracer->instant("drop.no_route", kPidCluster, switch_id);
     }
   }
   void on_drop_ttl(Tracer* tracer, std::uint32_t switch_id) {
-    drop_ttl_.inc();
     if (tracer != nullptr) {
       tracer->instant("drop.ttl", kPidCluster, switch_id);
     }
@@ -108,12 +104,7 @@ struct SwitchProbes {
   }
 
  private:
-  Counter forwarded_;
   Counter delivered_;
-  Counter mark_hooks_;
-  Counter drop_queue_full_;
-  Counter drop_no_route_;
-  Counter drop_ttl_;
   HistogramHandle queue_depth_;
   std::vector<Counter> port_tx_packets_;
   std::vector<Counter> port_tx_bytes_;
@@ -189,8 +180,10 @@ struct PipelineProbes {
   Counter blocks_installed_;
 };
 
-/// Wormhole substrate: VC allocation wins/stalls, credit stalls, flit
-/// movement, buffer occupancy, and a flits-in-flight counter track.
+/// Wormhole substrate: VC allocation wins/stalls, credit stalls, a buffer-
+/// occupancy histogram sampled at every flit forward (its `total` is the
+/// flit-forward count), and a flits-in-flight counter track. Delivered
+/// packets are `WormholeNetwork::delivered()`.
 struct WormholeProbes {
   void bind(Registry* registry);
   void attach(Tracer* tracer) noexcept { tracer_ = tracer; }
@@ -198,8 +191,6 @@ struct WormholeProbes {
   void on_vc_alloc() { vc_allocs_.inc(); }
   void on_alloc_stall() { alloc_stalls_.inc(); }
   void on_credit_stall() { credit_stalls_.inc(); }
-  void on_flit_forward() { flits_forwarded_.inc(); }
-  void on_delivered() { delivered_.inc(); }
   void on_buffer_sample(std::size_t depth) {
     buffer_occupancy_.add(double(depth));
   }
@@ -215,8 +206,6 @@ struct WormholeProbes {
   Counter vc_allocs_;
   Counter alloc_stalls_;
   Counter credit_stalls_;
-  Counter flits_forwarded_;
-  Counter delivered_;
   HistogramHandle buffer_occupancy_;
 };
 
@@ -254,10 +243,9 @@ struct KernelProbes {
 };
 
 struct SwitchProbes {
-  void bind(Registry*, std::uint32_t, const std::vector<std::string>&) noexcept {}
+  void bind(Registry&, std::uint32_t, const std::vector<std::string>&) noexcept {}
   void on_local_delivery() noexcept {}
   void on_forward(std::size_t) noexcept {}
-  void on_mark_hook() noexcept {}
   void on_drop_queue_full(Tracer*, std::uint32_t) noexcept {}
   void on_drop_no_route(Tracer*, std::uint32_t) noexcept {}
   void on_drop_ttl(Tracer*, std::uint32_t) noexcept {}
@@ -286,8 +274,6 @@ struct WormholeProbes {
   void on_vc_alloc() noexcept {}
   void on_alloc_stall() noexcept {}
   void on_credit_stall() noexcept {}
-  void on_flit_forward() noexcept {}
-  void on_delivered() noexcept {}
   void on_buffer_sample(std::size_t) noexcept {}
   void on_cycle(std::uint64_t, std::uint64_t) noexcept {}
 };

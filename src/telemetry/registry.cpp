@@ -13,8 +13,8 @@ void HistogramHandle::add_bound(double x) noexcept {
   } else if (x >= slot_->hi) {
     ++slot_->overflow;
   } else {
-    // Floating-point bin scaling (see netsim/stats.cpp for why not a
-    // reciprocal multiply).
+    // Floating-point bin scaling; a reciprocal multiply would move bin
+    // boundaries by an ulp and silently reshuffle edge samples.
     ++slot_->bins[static_cast<std::size_t>(
         (x - slot_->lo) / slot_->width)];  // ddpm-analyze: allow(hot-no-div)
   }

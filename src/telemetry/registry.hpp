@@ -160,7 +160,7 @@ class HistogramHandle {
 };
 
 /// Owns every series. Keys are `name` or `name{labels}` — e.g.
-/// `switch.drop_queue_full{switch=3}` or `link.tx_packets{switch=3,port=+x}`.
+/// `switch.delivered_local{switch=3}` or `link.tx_packets{switch=3,port=+x}`.
 /// Registering the same key twice returns a handle to the same slot.
 class Registry {
  public:

@@ -313,7 +313,6 @@ DDPM_HOT void WormholeNetwork::eject(NodeId node, int unit) {
       } else {
         pkt_pool_[flit.pkt].delivered_at = cycle_;
         ++delivered_;
-        probes_.on_delivered();
         if (hook_) hook_(std::move(pkt_pool_[flit.pkt]), node);
       }
       pkt_free_.push_back(flit.pkt);  // tail is the packet's last use
@@ -523,7 +522,6 @@ DDPM_HOT void WormholeNetwork::switch_allocation(NodeId node) {
         probes_.on_credit_stall();
         continue;
       }
-      probes_.on_flit_forward();
       probes_.on_buffer_sample(qsize(node, unit, ctl));
       const Flit flit = qfront(node, unit, ctl);
       qpop(node, unit, ctl);

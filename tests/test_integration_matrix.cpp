@@ -120,15 +120,15 @@ struct GoldenCell {
 // victim-side reconstruction names, or when, moves a digest. The failure
 // prints the new value.
 constexpr GoldenCell kPpmGolden[] = {
-    {"torus:5x5", "ppm-full", "adaptive", 0xafa89c12f27d3db1ULL,
+    {"torus:5x5", "ppm-full", "adaptive", 0xc14aac35df07c06fULL,
      0x85dd27fd0627615aULL},
-    {"torus:5x5", "ppm-xor", "adaptive", 0x7eaced0a9e20babdULL,
+    {"torus:5x5", "ppm-xor", "adaptive", 0x2d85d84c5ab08f0bULL,
      0x9713d3b3e368a9b6ULL},
-    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x416176b3554d5353ULL,
+    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x5d21c49d2a39836dULL,
      0x1e33949d4747a438ULL},
-    {"torus:5x5", "ppm-fragment", "adaptive", 0x1217b1476f92d81fULL,
+    {"torus:5x5", "ppm-fragment", "adaptive", 0x8b4a9e0c07767a09ULL,
      0xebbafe91b0ba9424ULL},
-    {"mesh:6x6", "ppm-full", "dor", 0x702ab471d569f4c9ULL,
+    {"mesh:6x6", "ppm-full", "dor", 0x5452492de9b1f935ULL,
      0x8fa2d653bd0dcbcdULL},
 };
 
@@ -137,23 +137,23 @@ constexpr GoldenCell kPpmGolden[] = {
 // change to which port a packet takes, when it lands, or what mark it
 // carries moves a digest. "none" pins the unmarked network alone.
 constexpr GoldenCell kClusterGolden[] = {
-    {"torus:5x5", "ddpm", "adaptive", 0x9c767bc3cb63ad02ULL,
+    {"torus:5x5", "ddpm", "adaptive", 0xd33993f8c5a29a4cULL,
      0xe682c3f796f9f707ULL},
-    {"torus:5x5", "dpm", "adaptive", 0x0ba5c6ef7b8039beULL,
+    {"torus:5x5", "dpm", "adaptive", 0xebeb93694432fc38ULL,
      0xc8070b112afa6e53ULL},
-    {"torus:5x5", "none", "adaptive", 0x81300212fa192340ULL,
+    {"torus:5x5", "none", "adaptive", 0x9a82580881301252ULL,
      0xac0b47b813987d8fULL},
-    {"mesh:6x6", "ddpm", "dor", 0x83c40a18f6f7b280ULL,
+    {"mesh:6x6", "ddpm", "dor", 0x22367a8dbcccd578ULL,
      0xccba02818ccb502eULL},
-    {"mesh:6x6", "dpm", "dor", 0xd5ef3ca940ade516ULL,
+    {"mesh:6x6", "dpm", "dor", 0xc6483511abb32e1eULL,
      0xd6056f0176020b60ULL},
-    {"mesh:6x6", "none", "dor", 0x8cf6d3925b42e76aULL,
+    {"mesh:6x6", "none", "dor", 0xfd08868f62dbbf22ULL,
      0x452f68acfee094d2ULL},
-    {"hypercube:5", "ddpm", "adaptive", 0xd0d5c1311f747887ULL,
+    {"hypercube:5", "ddpm", "adaptive", 0x4583a28ffd6fc121ULL,
      0xe525427c04c2e5d5ULL},
-    {"mesh:4x4x4", "ddpm", "adaptive", 0xa92d80f1b9da9b06ULL,
+    {"mesh:4x4x4", "ddpm", "adaptive", 0x790bc37427466617ULL,
      0x06440994baebe6ccULL},
-    {"torus:6x6", "ddpm", "dor", 0x3d083eaf0bb41404ULL,
+    {"torus:6x6", "ddpm", "dor", 0xf5a6fb4f640d993cULL,
      0x230ecac1f9cf920aULL},
 };
 

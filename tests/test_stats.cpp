@@ -60,59 +60,6 @@ TEST(RunningStat, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(empty.mean(), mean);
 }
 
-TEST(Histogram, BinsAndBounds) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);  // underflow
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);  // overflow (hi-exclusive)
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(double(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.1), 10.0, 1.5);
-}
-
-TEST(Histogram, QuantileOnEmptyReturnsLowerBound) {
-  Histogram h(5.0, 15.0, 10);
-  EXPECT_EQ(h.quantile(0.0), 5.0);
-  EXPECT_EQ(h.quantile(0.5), 5.0);
-  EXPECT_EQ(h.quantile(1.0), 5.0);
-}
-
-TEST(Histogram, QuantileOnSingleSampleStaysInItsBin) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(7.3);
-  for (double q : {0.01, 0.5, 0.99}) {
-    EXPECT_GE(h.quantile(q), 7.0);
-    EXPECT_LE(h.quantile(q), 8.0);
-  }
-}
-
-TEST(Histogram, QuantileAllUnderflowReturnsLo) {
-  Histogram h(10.0, 20.0, 5);
-  h.add(1.0);
-  h.add(2.0);
-  EXPECT_EQ(h.quantile(0.5), 10.0);
-}
-
-TEST(Histogram, QuantileAllOverflowReturnsHi) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(50.0);
-  h.add(60.0);
-  EXPECT_EQ(h.quantile(0.5), 10.0);
-}
-
 TEST(RunningStat, MergeDisjointRanges) {
   // Two accumulators over non-overlapping value ranges — the shape produced
   // by per-replication snapshots that are merged serially afterwards.
@@ -132,13 +79,6 @@ TEST(RunningStat, MergeDisjointRanges) {
   EXPECT_EQ(low.min(), 0.0);
   EXPECT_EQ(low.max(), 1049.0);
   EXPECT_EQ(low.sum(), all.sum());
-}
-
-TEST(Histogram, ToStringProducesRows) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(double(i % 10));
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find('#'), std::string::npos);
 }
 
 TEST(EwmaRate, ConvergesToSteadyRate) {

@@ -64,6 +64,15 @@ clang-tidy knows about (registered as the `repo_lint` ctest):
                      through these files; a deleted or emptied one breaks
                      the next session's context, so their presence is a
                      repo invariant, not a convention.
+ 12. series-documented
+                     every literal series name src/ passes to a
+                     registry's counter(/gauge(/histogram( has a row in
+                     the series catalogue of docs/OBSERVABILITY.md, and
+                     every catalogue row names a series src/ still
+                     registers. Only `registry` receivers count:
+                     `tracer->counter(...)` is a trace track, not a
+                     series. A --metrics reader looks a name up there;
+                     an undocumented or dead row misleads them.
 
 A line may opt out of one rule with an inline suppression comment naming
 it, e.g. `#include <cstdio>  // ddpm-lint: allow(header-io)`. Suppressions
@@ -90,7 +99,7 @@ KNOWN_RULES = frozenset({
     "pragma-once", "rng-containment", "float-compare", "header-io",
     "no-using-std", "netsim-no-std-function", "src-no-console",
     "stream-no-ingest", "shard-state-statics", "raw-number-parse",
-    "required-docs",
+    "required-docs", "series-documented",
 })
 
 # Required top-level documents; see rule 11 in the docstring.
@@ -377,6 +386,63 @@ def check_required_docs(root: Path) -> list[Violation]:
     return out
 
 
+# Rule 12: `registry->counter("name"`, `registry_.gauge("name"`, ... The
+# name may sit on the line after the call's open parenthesis.
+REGISTRY_SERIES = re.compile(
+    r"\bregistry_?\s*(?:->|\.)\s*(?:counter|gauge|histogram)\s*\(\s*"
+    r'"([^"]+)"')
+SERIES_CATALOGUE = "docs/OBSERVABILITY.md"
+CATALOGUE_HEADING = "## Series catalogue"
+CATALOGUE_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+
+
+def catalogue_rows(root: Path) -> dict[str, int] | None:
+    """Series name -> line of its row in the catalogue; None if absent."""
+    path = root / SERIES_CATALOGUE
+    if not path.is_file():
+        return None
+    rows: dict[str, int] = {}
+    inside = False
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                             1):
+        if line.startswith("## "):
+            inside = line.strip() == CATALOGUE_HEADING
+        elif inside and (m := CATALOGUE_ROW.match(line)):
+            rows.setdefault(m.group(1), n)
+    return rows
+
+
+def check_series_documented(root: Path) -> list[Violation]:
+    out = []
+    registered: set[str] = set()
+    sites = []
+    for path in iter_source(root, ("src",), (".hpp", ".cpp")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        code = "\n".join(strip_comments(line) for line in lines)
+        for m in REGISTRY_SERIES.finditer(code):
+            n = code.count("\n", 0, m.start()) + 1
+            registered.add(m.group(1))
+            sites.append((path, n, lines[n - 1], m.group(1)))
+    rows = catalogue_rows(root)
+    if rows is None:
+        return [(root / SERIES_CATALOGUE, 1, "series-documented",
+                 f"{SERIES_CATALOGUE} is missing; src/ registers "
+                 f"{len(registered)} series it should catalogue")
+                ] if sites else []
+    for path, n, line, name in sites:
+        if name not in rows and not suppressed(line, "series-documented",
+                                               path, n):
+            out.append((path, n, "series-documented",
+                        f"series '{name}' has no row in the "
+                        f"{SERIES_CATALOGUE} series catalogue"))
+    for name, n in sorted(rows.items(), key=lambda kv: kv[1]):
+        if name not in registered:
+            out.append((root / SERIES_CATALOGUE, n, "series-documented",
+                        f"catalogue row '{name}' names a series src/ no "
+                        "longer registers"))
+    return out
+
+
 def check_stale_suppressions(root: Path) -> list[Violation]:
     """allow() comments that silenced nothing this run.
 
@@ -423,6 +489,7 @@ def main(argv: list[str]) -> int:
         check_shard_state_statics,
         check_raw_number_parse,
         check_required_docs,
+        check_series_documented,
         check_stale_suppressions,  # must be last: audits the allow() comments
     ):
         violations.extend(check(root))
