@@ -227,6 +227,98 @@ TEST_F(StandaloneSwitch, ArrivalsKeepTransmissionOrder) {
   EXPECT_EQ(metrics_.dropped_queue_full, 0u);
 }
 
+using StandaloneSwitchDeathTest = StandaloneSwitch;
+
+TEST_F(StandaloneSwitchDeathTest, RegistryWithoutPortLabelsIsFatal) {
+  telemetry::Registry registry;
+  env_.registry = &registry;
+  EXPECT_DEATH(build(), "port labels");
+}
+
+#if DDPM_TELEMETRY_ENABLED
+
+TEST_F(StandaloneSwitch, RegistryHoldsFourteenSeriesPerSwitch) {
+  telemetry::Registry registry;
+  const std::vector<std::string> labels = telemetry_port_labels(*topo_);
+  env_.registry = &registry;
+  env_.port_labels = &labels;
+  build();
+  // A local-delivery counter, the queue-depth histogram, and three link
+  // counters for each of the mesh's four ports.
+  ASSERT_EQ(labels.size(), 4u);
+  const telemetry::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.series(), 14u);
+  EXPECT_EQ(snap.counter_value("switch.delivered_local{switch=0}"), 0u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].key, "switch.queue_depth{switch=0}");
+  for (const auto& c : snap.counters) {
+    EXPECT_TRUE(c.key == "switch.delivered_local{switch=0}" ||
+                c.key.starts_with("link."))
+        << c.key;
+  }
+}
+
+TEST_F(StandaloneSwitch, ForwardsAreQueueDepthSamplesAndDropsStayInMetrics) {
+  telemetry::Registry registry;
+  const std::vector<std::string> labels = telemetry_port_labels(*topo_);
+  env_.registry = &registry;
+  env_.port_labels = &labels;
+  build();
+  send(1);
+  send(2);
+  send(3);
+  send(4);  // the queue is full: dropped
+  pkt::Packet local;
+  local.dest_node = 0;
+  switch_->handle(std::move(local), 0);
+  sim_.run();
+  ASSERT_EQ(landed_.size(), 3u);
+  EXPECT_EQ(metrics_.dropped_queue_full, 1u);
+
+  const telemetry::MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].total, 3u);
+  EXPECT_EQ(snap.counter_sum_prefix("link.tx_packets{"), 3u);
+  EXPECT_EQ(snap.counter_value("switch.delivered_local{switch=0}"), 1u);
+  // The drop is counted once, in Metrics; no series re-counts it.
+  for (const auto& c : snap.counters) {
+    EXPECT_EQ(c.key.find("drop"), std::string::npos) << c.key;
+  }
+}
+
+TEST_F(StandaloneSwitch, DropsAreTraceInstantsOnTheSwitchLane) {
+  // No registry: the drop instants need only the tracer.
+  telemetry::Tracer tracer(1024);
+  env_.tracer = &tracer;
+  build();
+  send(1);
+  send(2);
+  send(3);
+  send(4);  // queue full
+  pkt::Packet expiring;
+  expiring.dest_node = 3;
+  expiring.header.set_ttl(1);
+  switch_->handle(std::move(expiring), 0);
+  sim_.run();
+  EXPECT_EQ(metrics_.dropped_queue_full, 1u);
+  EXPECT_EQ(metrics_.dropped_ttl, 1u);
+
+  const std::string json = tracer.flush_to_string();
+  const auto occurrences = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("\"drop.queue_full\""), 1u);
+  EXPECT_EQ(occurrences("\"drop.ttl\""), 1u);
+  EXPECT_EQ(occurrences("\"drop.no_route\""), 0u);
+}
+
+#endif  // DDPM_TELEMETRY_ENABLED
+
 TEST(Cluster, FailedLinkBlocksDeterministicRoute) {
   ClusterNetwork net(quiet_config());
   net.failures().fail(0, 1);  // (0,0)-(0,1): DOR's only way for 0 -> 3
