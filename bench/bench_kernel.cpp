@@ -1,9 +1,10 @@
 // Kernel perf harness — the repository's performance trajectory anchor.
 //
-// Measures the discrete-event kernel's hot paths (event schedule/pop/cancel
-// throughput, the wormhole substrate's steps/sec, and an end-to-end sweep
-// cell serial vs parallel) and optionally writes the numbers to
-// BENCH_kernel.json so subsequent PRs can regress against them. See
+// Measures the wormhole substrate's steps/sec, a count-min sketch update,
+// a flow-trace replay and an end-to-end sweep cell serial vs parallel, and
+// optionally writes the numbers to BENCH_kernel.json so subsequent PRs can
+// regress against them. The event wheel is timed by perfbench
+// (`netsim.wheel_op_ns`). See
 // docs/PERFORMANCE.md for how to read the output.
 //
 //   bench_kernel [--json PATH] [--jobs N] [--smoke]    (--help lists flags)
@@ -23,7 +24,6 @@
 #include "core/cli.hpp"
 #include "core/sweep_grid.hpp"
 #include "flow/trace_gen.hpp"
-#include "netsim/event_queue.hpp"
 #include "routing/router.hpp"
 #include "stream/flow_analyzer.hpp"
 #include "stream/sketch.hpp"
@@ -45,67 +45,14 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// xorshift64 — a self-contained time-pattern generator for the queue
-/// microbenches (deliberately not Rng: the subject under test should not
-/// also supply the workload).
-std::uint64_t next_time_sample(std::uint64_t& x) {
+/// xorshift64 — a self-contained key generator for the sketch microbench
+/// (deliberately not Rng: the subject under test should not also supply
+/// the workload).
+std::uint64_t next_sample(std::uint64_t& x) {
   x ^= x << 13;
   x ^= x >> 7;
   x ^= x << 17;
   return x;
-}
-
-Result bench_schedule_pop(std::size_t n, int rounds) {
-  netsim::EventQueue q;
-  q.reserve(n);
-  std::uint64_t x = 88172645463325252ull;
-  std::uint64_t fired = 0;
-  const auto start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(next_time_sample(x) % 1000000, [&fired] { ++fired; });
-    }
-    while (!q.empty()) q.pop().second();
-    q.clear();
-  }
-  const double ops = 2.0 * double(rounds) * double(n);
-  return {"eq_schedule_pop", ops / seconds_since(start), "ops/s"};
-}
-
-Result bench_churn(std::size_t pending, std::size_t ops) {
-  netsim::EventQueue q;
-  q.reserve(pending);
-  std::uint64_t x = 123456789ull;
-  for (std::size_t i = 0; i < pending; ++i) {
-    q.schedule(next_time_sample(x) % 100000, [] {});
-  }
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < ops; ++i) {
-    auto [when, action] = q.pop();
-    action();
-    q.schedule(when + 1 + next_time_sample(x) % 1000, [] {});
-  }
-  return {"eq_churn", double(ops) / seconds_since(start), "ops/s"};
-}
-
-Result bench_cancel(std::size_t n, int rounds) {
-  netsim::EventQueue q;
-  q.reserve(n);
-  std::uint64_t x = 55555ull;
-  std::vector<netsim::EventId> ids;
-  ids.reserve(n);
-  const auto start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    ids.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(q.schedule(next_time_sample(x) % 1000000, [] {}));
-    }
-    for (std::size_t i = 0; i < n; i += 2) q.cancel(ids[i]);
-    while (!q.empty()) q.pop().second();
-    q.clear();
-  }
-  const double ops = double(rounds) * (double(n) + double(n));  // sched+cancel/pop
-  return {"eq_cancel_drain", ops / seconds_since(start), "ops/s"};
 }
 
 Result bench_wormhole(std::uint64_t cycles) {
@@ -146,7 +93,7 @@ Result bench_sketch_update(std::uint64_t updates) {
   std::uint64_t sink = 0;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < updates; ++i) {
-    sink += cms.update(std::uint32_t(next_time_sample(x)));
+    sink += cms.update(std::uint32_t(next_sample(x)));
   }
   const double elapsed = seconds_since(start);
   if (sink == 0) std::cerr << "sketch_update: impossible zero estimate\n";
@@ -228,16 +175,10 @@ int main(int argc, char** argv) {
 
   // Event-queue microbenches.
   if (smoke) {
-    results.push_back(bench_schedule_pop(20000, 2));
-    results.push_back(bench_churn(2000, 50000));
-    results.push_back(bench_cancel(10000, 2));
     results.push_back(bench_wormhole(1500));
     results.push_back(bench_sketch_update(500000));
     results.push_back(bench_trace_replay(50000));
   } else {
-    results.push_back(bench_schedule_pop(400000, 4));
-    results.push_back(bench_churn(10000, 2000000));
-    results.push_back(bench_cancel(200000, 4));
     // 100k cycles ≈ 0.5 s at the SoA engine's rate: long enough that the
     // steps/s figure is stable run to run (at 20k the window was ~0.1 s
     // and the metric swung ±10% with scheduler noise).

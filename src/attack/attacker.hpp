@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "attack/spoof.hpp"
-#include "netsim/event_queue.hpp"
 #include "netsim/rng.hpp"
+#include "netsim/sim_time.hpp"
 #include "packet/packet.hpp"
 #include "topology/topology.hpp"
 

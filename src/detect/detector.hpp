@@ -17,7 +17,7 @@
 #include <optional>
 #include <string>
 
-#include "netsim/event_queue.hpp"
+#include "netsim/sim_time.hpp"
 #include "netsim/stats.hpp"
 #include "packet/packet.hpp"
 

@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "core/hot_path.hpp"
-#include "netsim/event_queue.hpp"
+#include "netsim/sim_time.hpp"
 
 namespace ddpm::flow {
 

@@ -19,12 +19,10 @@ EventWheel::EventWheel(std::size_t window) : mask_(window - 1) {
   occ_.assign(window / 64, 0);
 }
 
-DDPM_HOT EventId EventWheel::schedule(SimTime when, Action action) {
+DDPM_HOT void EventWheel::schedule(SimTime when, Action action) {
   DDPM_CHECK(when >= cursor_, "event scheduled in the simulated past");
   const std::uint32_t ticket = acquire_ticket();
-  Ticket& slot = tickets_[ticket];
-  slot.action = std::move(action);
-  slot.live = true;
+  tickets_[ticket] = std::move(action);
   if (when - cursor_ <= mask_) {
     // Near future: O(1) append to the timestamp's bucket. No sequence
     // number is materialized — append order IS scheduling order, and heap
@@ -47,27 +45,9 @@ DDPM_HOT EventId EventWheel::schedule(SimTime when, Action action) {
     ++heap_scheduled_;
   }
   ++live_;
-  ++pending_entries_;
-  return make_id(ticket, slot.generation);
 }
 
-bool EventWheel::cancel(EventId id) {
-  const auto ticket = std::uint32_t(id >> 32);
-  const auto generation = std::uint32_t(id);
-  if (ticket >= tickets_.size()) return false;
-  Ticket& slot = tickets_[ticket];
-  if (!slot.live || slot.generation != generation) return false;
-  slot.live = false;
-  slot.action.reset();
-  --live_;
-  ++tombstones_;
-  // Same sweep policy as EventQueue: compact when the dead outnumber the
-  // living, so cancel-heavy timer workloads stay O(live) in memory.
-  if (tombstones_ > 64 && tombstones_ * 2 > pending_entries_) compact();
-  return true;
-}
-
-DDPM_HOT SimTime EventWheel::wheel_next() noexcept {
+DDPM_HOT SimTime EventWheel::wheel_next() const noexcept {
   const std::size_t words = occ_.size();
   const std::size_t b0 = std::size_t(cursor_) & mask_;
   const std::size_t w0 = b0 >> 6;
@@ -75,32 +55,17 @@ DDPM_HOT SimTime EventWheel::wheel_next() noexcept {
   // Circular bitmap scan from the cursor's bucket: whole words in wrap
   // order, with the cursor word split so its below-cursor bits (times near
   // cursor + W) are visited last. Bit order within this traversal is
-  // ascending time order.
+  // ascending time order, so the first set bit is the earliest bucket.
   std::uint64_t w = occ_[w0] & (~std::uint64_t{0} << off);
-  for (std::size_t i = 0;;) {
-    while (w != 0) {
-      const std::size_t wi = (w0 + i) & (words - 1);
-      const std::size_t b = wi * 64 + std::size_t(__builtin_ctzll(w));
-      Bucket& bk = buckets_[b];
-      while (bk.head < bk.tickets.size() &&
-             !tickets_[bk.tickets[bk.head]].live) {
-        release_ticket(bk.tickets[bk.head]);
-        ++bk.head;
-        --tombstones_;
-        --pending_entries_;
-      }
-      if (bk.head == bk.tickets.size()) {
-        reset_bucket(b);  // dead-only bucket: drain and keep scanning
-        w &= w - 1;
-        continue;
-      }
-      return cursor_ + SimTime((b - b0) & mask_);
-    }
-    ++i;
-    if (i > words) return kNoTime;
+  std::size_t i = 0;
+  while (w == 0) {
+    if (++i > words) return kNoTime;
     w = (i == words) ? occ_[w0] & ~(~std::uint64_t{0} << off)
                      : occ_[(w0 + i) & (words - 1)];
   }
+  const std::size_t wi = (w0 + i) & (words - 1);
+  const std::size_t b = wi * 64 + std::size_t(__builtin_ctzll(w));
+  return cursor_ + SimTime((b - b0) & mask_);
 }
 
 void EventWheel::reset_bucket(std::size_t b) noexcept {
@@ -110,10 +75,9 @@ void EventWheel::reset_bucket(std::size_t b) noexcept {
   occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
 }
 
-SimTime EventWheel::next_time() {
+SimTime EventWheel::next_time() const noexcept {
   DDPM_DCHECK(live_ != 0, "next_time on empty wheel");
   const SimTime tw = wheel_next();
-  prune_dead_top();
   if (heap_.empty()) return tw;
   const SimTime th = heap_.front().when;
   return tw < th ? tw : th;  // kNoTime is the max SimTime
@@ -122,29 +86,26 @@ SimTime EventWheel::next_time() {
 DDPM_HOT std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
   DDPM_CHECK(live_ != 0, "pop on empty wheel");
   const SimTime tw = wheel_next();
-  prune_dead_top();
+  --live_;
   // Heap wins ties: its entries for an instant were scheduled while that
   // instant was still out of window, i.e. before any bucket entry for it.
   if (!heap_.empty() && heap_.front().when <= tw) {
     const Entry top = heap_.front();
     DDPM_DCHECK(top.when >= cursor_, "event time went backwards");
     cursor_ = top.when;
-    Action action = std::move(tickets_[top.ticket].action);
+    Action action = std::move(tickets_[top.ticket]);
     release_ticket(top.ticket);
     remove_top();
-    --live_;
-    --pending_entries_;
     return {top.when, std::move(action)};
   }
-  Bucket& bk = buckets_[std::size_t(tw) & mask_];
+  const std::size_t b = std::size_t(tw) & mask_;
+  Bucket& bk = buckets_[b];
   const std::uint32_t ticket = bk.tickets[bk.head];
   ++bk.head;
   cursor_ = tw;  // slides the window forward
-  Action action = std::move(tickets_[ticket].action);
+  Action action = std::move(tickets_[ticket]);
   release_ticket(ticket);
-  if (bk.head == bk.tickets.size()) reset_bucket(std::size_t(tw) & mask_);
-  --live_;
-  --pending_entries_;
+  if (bk.head == bk.tickets.size()) reset_bucket(b);
   return {tw, std::move(action)};
 }
 
@@ -156,13 +117,9 @@ void EventWheel::clear() {
     for (std::size_t i = bk.head; i < bk.tickets.size(); ++i) {
       release_ticket(bk.tickets[i]);
     }
-    bk.tickets.clear();
-    bk.head = 0;
+    reset_bucket(b);
   }
-  for (std::uint64_t& w : occ_) w = 0;
   live_ = 0;
-  tombstones_ = 0;
-  pending_entries_ = 0;
   cursor_ = 0;  // a cleared wheel may be reused from time zero
 }
 
@@ -185,20 +142,8 @@ std::uint32_t EventWheel::acquire_ticket() {
 }
 
 void EventWheel::release_ticket(std::uint32_t ticket) noexcept {
-  Ticket& slot = tickets_[ticket];
-  slot.live = false;
-  slot.action.reset();
-  ++slot.generation;  // invalidates every outstanding id for this slot
+  tickets_[ticket].reset();  // a no-op once pop() has moved the action out
   free_tickets_.push_back(ticket);
-}
-
-void EventWheel::prune_dead_top() noexcept {
-  while (!heap_.empty() && !tickets_[heap_.front().ticket].live) {
-    release_ticket(heap_.front().ticket);
-    remove_top();
-    --tombstones_;
-    --pending_entries_;
-  }
 }
 
 void EventWheel::remove_top() noexcept {
@@ -210,47 +155,6 @@ void EventWheel::remove_top() noexcept {
   } else {
     heap_.pop_back();
   }
-}
-
-void EventWheel::compact() {
-  // Heap: drop tombstones, re-heapify (seq survives, FIFO unchanged).
-  std::size_t out = 0;
-  for (const Entry& e : heap_) {
-    if (tickets_[e.ticket].live) {
-      heap_[out++] = e;
-    } else {
-      release_ticket(e.ticket);
-    }
-  }
-  heap_.resize(out);
-  if (out > 1) {
-    for (std::size_t i = (out - 2) / kArity + 1; i-- > 0;) sift_down(i);
-  }
-  std::size_t entries = out;
-  // Buckets: filter each one's unpopped span in place (append order — and
-  // with it FIFO — is preserved).
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bk = buckets_[b];
-    if (bk.tickets.empty()) continue;
-    std::size_t keep = 0;
-    for (std::size_t i = bk.head; i < bk.tickets.size(); ++i) {
-      const std::uint32_t t = bk.tickets[i];
-      if (tickets_[t].live) {
-        bk.tickets[keep++] = t;
-      } else {
-        release_ticket(t);
-      }
-    }
-    bk.tickets.resize(keep);
-    bk.head = 0;
-    if (keep == 0) {
-      reset_bucket(b);
-    } else {
-      entries += keep;
-    }
-  }
-  tombstones_ = 0;
-  pending_entries_ = entries;
 }
 
 void EventWheel::sift_up(std::size_t i) noexcept {

@@ -1,13 +1,12 @@
 // Simulation kernel: owns the clock and the event queue, and drives the
 // model by firing events in timestamp order.
 //
-// The queue is the calendar-wheel variant (netsim/event_wheel.hpp): the
-// cluster Switch's forwarding events and the wormhole link clock
-// (wormhole/wheel_runner.hpp) are regular short-horizon cadences, which
+// The queue is the calendar wheel (netsim/event_wheel.hpp): the cluster
+// Switch's forwarding events are a regular short-horizon cadence, which
 // the wheel schedules and pops in O(1); irregular timers (attack onsets,
-// long backoffs) overflow to its embedded 4-ary heap. Semantics are
-// identical to EventQueue — the differential stress test pins that — so
-// swapping the member type is invisible to models.
+// TCP timeouts, long backoffs) overflow to its embedded 4-ary heap. Events
+// are only ever scheduled and fired — a timer that may have become moot
+// checks its state when it fires instead of being cancelled.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +23,8 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` to fire `delay` ticks from now.
-  EventId schedule_in(SimTime delay, EventWheel::Action action) {
-    return queue_.schedule(now_ + delay, std::move(action));
+  void schedule_in(SimTime delay, EventWheel::Action action) {
+    queue_.schedule(now_ + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute time `when`. `when` must not be in the
@@ -33,16 +32,14 @@ class Simulator {
   /// (in scheduling order) rather than corrupting the clock. Each clamp is
   /// counted (see clamped_events()): a model that relies on the clamp is
   /// usually mis-computing timestamps, and the counter makes that visible.
-  EventId schedule_at(SimTime when, EventWheel::Action action) {
+  void schedule_at(SimTime when, EventWheel::Action action) {
     if (when < now_) {
       ++clamped_;
       probes_.on_clamp();
       when = now_;
     }
-    return queue_.schedule(when, std::move(action));
+    queue_.schedule(when, std::move(action));
   }
-
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the queue drains or the clock passes `until`, whichever
   /// comes first. Events stamped exactly `until` still fire. Returns the

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "netsim/event_queue.hpp"
+#include "netsim/sim_time.hpp"
 #include "packet/ip_header.hpp"
 #include "topology/topology.hpp"
 

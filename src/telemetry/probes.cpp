@@ -60,18 +60,6 @@ void WormholeProbes::bind(Registry* registry) {
       registry->histogram("wormhole.buffer_occupancy", {}, 0.0, 32.0, 32);
 }
 
-void TcpProbes::bind(Registry* registry) {
-  if (registry == nullptr) return;
-  attempted_ = registry->counter("tcp.syn_attempted");
-  refused_ = registry->counter("tcp.refused");
-  established_ = registry->counter("tcp.established");
-  completed_ = registry->counter("tcp.completed");
-  client_timeouts_ = registry->counter("tcp.client_timeouts");
-  half_open_expired_ = registry->counter("tcp.half_open_expired");
-  attack_syns_ = registry->counter("tcp.attack_syns");
-  backscatter_ = registry->counter("tcp.backscatter");
-}
-
 #endif  // DDPM_TELEMETRY_ENABLED
 
 }  // namespace ddpm::telemetry

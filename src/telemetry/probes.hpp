@@ -209,30 +209,6 @@ struct WormholeProbes {
   HistogramHandle buffer_occupancy_;
 };
 
-/// TCP workload: handshake outcomes, one counter per terminal state.
-struct TcpProbes {
-  void bind(Registry* registry);
-
-  void on_syn_attempted() { attempted_.inc(); }
-  void on_refused() { refused_.inc(); }
-  void on_established() { established_.inc(); }
-  void on_completed() { completed_.inc(); }
-  void on_client_timeout() { client_timeouts_.inc(); }
-  void on_half_open_expired() { half_open_expired_.inc(); }
-  void on_attack_syn() { attack_syns_.inc(); }
-  void on_backscatter() { backscatter_.inc(); }
-
- private:
-  Counter attempted_;
-  Counter refused_;
-  Counter established_;
-  Counter completed_;
-  Counter client_timeouts_;
-  Counter half_open_expired_;
-  Counter attack_syns_;
-  Counter backscatter_;
-};
-
 #else  // !DDPM_TELEMETRY_ENABLED — every probe is an inline no-op.
 
 struct KernelProbes {
@@ -276,18 +252,6 @@ struct WormholeProbes {
   void on_credit_stall() noexcept {}
   void on_buffer_sample(std::size_t) noexcept {}
   void on_cycle(std::uint64_t, std::uint64_t) noexcept {}
-};
-
-struct TcpProbes {
-  void bind(Registry*) noexcept {}
-  void on_syn_attempted() noexcept {}
-  void on_refused() noexcept {}
-  void on_established() noexcept {}
-  void on_completed() noexcept {}
-  void on_client_timeout() noexcept {}
-  void on_half_open_expired() noexcept {}
-  void on_attack_syn() noexcept {}
-  void on_backscatter() noexcept {}
 };
 
 #endif  // DDPM_TELEMETRY_ENABLED

@@ -8,7 +8,6 @@ using pkt::tcpflags::kSyn;
 
 TcpWorkload::TcpWorkload(cluster::ClusterNetwork& net, TcpConfig config)
     : net_(net), config_(config), rng_(config.seed ^ 0x7c9ULL) {
-  probes_.bind(&net_.registry());
   net_.set_delivery_hook([this](const pkt::Packet& p, NodeId at) {
     on_delivery(p, at);
   });
@@ -62,14 +61,12 @@ void TcpWorkload::open_connection(NodeId client) {
   const std::uint64_t conn = next_conn_++;
   clients_[conn] = ClientConn{server, config_.data_packets, false};
   ++stats_.attempted;
-  probes_.on_syn_attempted();
   net_.inject(make_segment(client, server, kSyn, conn, 40), client);
   // Client-side give-up timer.
   net_.sim().schedule_in(config_.client_timeout, [this, conn]() {
     auto it = clients_.find(conn);
     if (it != clients_.end() && !it->second.done) {
       ++stats_.client_timeouts;
-      probes_.on_client_timeout();
       clients_.erase(it);
     }
   });
@@ -81,7 +78,6 @@ void TcpWorkload::expire_half_open(NodeId server, netsim::SimTime now) {
     if (!it->second.established &&
         it->second.opened + config_.handshake_timeout <= now) {
       ++stats_.half_open_expired;
-      probes_.on_half_open_expired();
       it = table.erase(it);
     } else {
       ++it;
@@ -110,10 +106,7 @@ void TcpWorkload::handle_server(const pkt::Packet& packet, NodeId at) {
   if (packet.tcp_flags == kSyn) {
     expire_half_open(at, now);
     const bool attack = packet.is_attack();
-    if (attack) {
-      ++stats_.attack_syns;
-      probes_.on_attack_syn();
-    }
+    if (attack) ++stats_.attack_syns;
     // Reflection tracing: remember who actually sent this SYN, keyed by
     // whoever it claims to be. If that claimed node later reports a
     // backscatter flood, the recorded origins are the attackers.
@@ -127,10 +120,7 @@ void TcpWorkload::handle_server(const pkt::Packet& packet, NodeId at) {
     }
     if (table.size() >= config_.server_backlog) {
       // Listen queue full: silently refuse (no RST in this model).
-      if (!attack) {
-        ++stats_.refused;
-        probes_.on_refused();
-      }
+      if (!attack) ++stats_.refused;
       return;
     }
     // The server answers whatever source the SYN *claims*. For spoofed
@@ -142,13 +132,9 @@ void TcpWorkload::handle_server(const pkt::Packet& packet, NodeId at) {
     table[packet.flow] = conn;
     if (!claimed.has_value()) {
       ++stats_.backscatter;  // unroutable spoof: nothing to send
-      probes_.on_backscatter();
       return;
     }
-    if (attack) {
-      ++stats_.backscatter;
-      probes_.on_backscatter();
-    }
+    if (attack) ++stats_.backscatter;
     net_.inject(make_segment(at, *claimed, kSyn | kAck, packet.flow, 40), at);
     return;
   }
@@ -157,14 +143,10 @@ void TcpWorkload::handle_server(const pkt::Packet& packet, NodeId at) {
   if (packet.tcp_flags == kAck && !it->second.established) {
     it->second.established = true;
     ++stats_.established;
-    probes_.on_established();
     return;
   }
   if (packet.tcp_flags & kFin) {
-    if (it->second.established) {
-      ++stats_.completed;
-      probes_.on_completed();
-    }
+    if (it->second.established) ++stats_.completed;
     table.erase(it);
   }
   // Bare data segments need no server action in this model.

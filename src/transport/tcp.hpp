@@ -124,9 +124,6 @@ class TcpWorkload {
   cluster::ClusterNetwork& net_;
   TcpConfig config_;
   netsim::Rng rng_;
-  /// Mirrors TcpStats into the network's registry (tcp.* counters) so
-  /// handshake outcomes appear in telemetry snapshots.
-  telemetry::TcpProbes probes_;
   cluster::ClusterNetwork::DeliveryHook tap_;
   TcpStats stats_;
   std::uint64_t next_conn_ = 1;

@@ -1,11 +1,11 @@
 // Contract-layer tests: the macros themselves, plus death tests proving
 // the wired invariants actually fire where the tooling pass installed them
-// (event-queue monotonicity, torus coordinate ranges).
+// (event-wheel monotonicity, torus coordinate ranges).
 #include "core/check.hpp"
 
 #include <gtest/gtest.h>
 
-#include "netsim/event_queue.hpp"
+#include "netsim/event_wheel.hpp"
 #include "topology/torus.hpp"
 
 namespace ddpm {
@@ -51,7 +51,7 @@ TEST(Check, DcheckCompiledOutInReleaseBuilds) {
 // loop would deliver packets into the past and every latency metric in
 // Tables 1-3 would silently skew.
 TEST(CheckDeathTest, NonMonotonicEventInsertFires) {
-  netsim::EventQueue queue;
+  netsim::EventWheel queue;
   queue.schedule(10, [] {});
   (void)queue.pop();  // watermark is now 10
   EXPECT_DEATH(queue.schedule(5, [] {}),
@@ -59,7 +59,7 @@ TEST(CheckDeathTest, NonMonotonicEventInsertFires) {
 }
 
 TEST(Check, MonotonicScheduleAtWatermarkIsAllowed) {
-  netsim::EventQueue queue;
+  netsim::EventWheel queue;
   queue.schedule(10, [] {});
   (void)queue.pop();
   queue.schedule(10, [] {});  // equal to the watermark: legal
@@ -68,8 +68,8 @@ TEST(Check, MonotonicScheduleAtWatermarkIsAllowed) {
 }
 
 TEST(CheckDeathTest, PopOnEmptyQueueFires) {
-  netsim::EventQueue queue;
-  EXPECT_DEATH((void)queue.pop(), "DDPM_CHECK failure:.*pop on empty queue");
+  netsim::EventWheel queue;
+  EXPECT_DEATH((void)queue.pop(), "DDPM_CHECK failure:.*pop on empty wheel");
 }
 
 // Coordinate-range contract in the torus wraparound math: ring_delta's

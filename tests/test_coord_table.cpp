@@ -92,10 +92,12 @@ std::vector<std::uint16_t> field_patterns(const mark::DdpmCodec& codec,
   return fields;
 }
 
+#if DDPM_TELEMETRY_ENABLED
 std::uint64_t saturations(const telemetry::Registry& registry) {
   return registry.snapshot().counter_value(
       "mark.field_saturations{scheme=ddpm}");
 }
+#endif
 
 TEST(DdpmTablePath, ForwardMatchesTheCoordReferenceOnEveryLink) {
   for (const char* spec : kSpecs) {
