@@ -97,32 +97,37 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
 
 DDPM_HOT void Switch::start_transmission(Port port) {
   OutputPort& out = ports_[std::size_t(port)];
-  if (out.busy || out.sent == out.fifo.size()) return;
-  out.busy = true;
-  const pkt::Packet& packet = out.fifo[out.sent++];
-  const auto tx_ticks = netsim::SimTime(
-      // Floating-point divide (bandwidth scaling), not an integer one;
-      // the textual frontend cannot type-check the operands.
-      std::ceil(double(packet.wire_bytes()) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
-  // The span covers serialization + propagation; both durations are known
-  // at schedule time, so one complete event suffices (no open/close pair).
-  probes_.on_tx(env_->tracer, id_, std::size_t(port), packet.wire_bytes(),
-                tx_ticks, env_->sim->now(),
-                env_->sim->now() + tx_ticks + env_->link_latency);
-  // Link frees up after serialization; the packet lands after propagation.
-  env_->sim->schedule_in(tx_ticks, [this, port]() {
-    ports_[std::size_t(port)].busy = false;
-    start_transmission(port);
-  });
-  // The front is the oldest packet on the link. arrive() hands it to the
-  // neighbor switch, which never pushes onto this port, so the slot stays
-  // put until the pop.
-  env_->sim->schedule_in(tx_ticks + env_->link_latency, [this, port]() {
-    OutputPort& p = ports_[std::size_t(port)];
-    env_->arrive(std::move(p.fifo.front()), id_, p.neighbor);
-    p.fifo.pop_front();
-    --p.sent;
-  });
+  const netsim::SimTime now = env_->sim->now();
+  if (now >= out.free_at) {
+    const pkt::Packet& packet = out.fifo[out.sent++];
+    const auto tx_ticks = netsim::SimTime(
+        // Floating-point divide (bandwidth scaling), not an integer one;
+        // the textual frontend cannot type-check the operands.
+        std::ceil(double(packet.wire_bytes()) / env_->link_bandwidth));  // ddpm-analyze: allow(hot-no-div)
+    out.free_at = now + tx_ticks;
+    // The span covers serialization + propagation; both durations are known
+    // at schedule time, so one complete event suffices (no open/close pair).
+    probes_.on_tx(env_->tracer, id_, std::size_t(port), packet.wire_bytes(),
+                  tx_ticks, now, out.free_at + env_->link_latency);
+    // The front is the oldest packet on the link. arrive() hands it to the
+    // neighbor switch, which never pushes onto this port, so the slot stays
+    // put until the pop.
+    env_->sim->schedule_in(tx_ticks + env_->link_latency, [this, port]() {
+      OutputPort& p = ports_[std::size_t(port)];
+      env_->arrive(std::move(p.fifo.front()), id_, p.neighbor);
+      p.fifo.pop_front();
+      --p.sent;
+    });
+  }
+  // Packets still wait for the link: one wake at free_at starts the next.
+  if (out.sent != out.fifo.size() && !out.wake_pending) {
+    out.wake_pending = true;
+    env_->sim->schedule_at(out.free_at, [this, port]() {
+      OutputPort& p = ports_[std::size_t(port)];
+      p.wake_pending = false;
+      if (p.sent != p.fifo.size()) start_transmission(port);
+    });
+  }
 }
 
 }  // namespace ddpm::cluster

@@ -7,6 +7,14 @@
 // each output link serializes one packet at a time at the configured
 // bandwidth and delivers it to the neighbor after the link latency.
 //
+// One event per hop: each port keeps `free_at`, the tick its link finishes
+// serializing. A packet pushed at or after free_at starts at once and
+// schedules only its arrival. While packets wait, one wake event at
+// free_at starts the next. The link is free on the free_at tick itself:
+// a packet handled on that tick with nothing waiting ahead of it starts
+// at once, whichever same-tick event pops first. With packets waiting,
+// the first of the wake and the new arrival to pop starts the oldest.
+//
 // Per-hop processing order matches walk_packet (walk.hpp) and Figure 4:
 // route -> decrement TTL -> mark with (current, next).
 #pragma once
@@ -91,7 +99,11 @@ class Switch {
     std::size_t sent = 0;
     /// The switch this port's link reaches; kInvalidNode at a mesh edge.
     NodeId neighbor = topo::kInvalidNode;
-    bool busy = false;
+    /// The tick the link finishes serializing its last packet; free from
+    /// then on (a packet handled on that very tick starts at once).
+    netsim::SimTime free_at = 0;
+    /// A wake event at free_at is pending; at most one per port.
+    bool wake_pending = false;
   };
 
   void start_transmission(Port port);

@@ -71,6 +71,16 @@ TEST(Cluster, DdpmIdentifiesInClusterContext) {
   for (topo::NodeId src = 0; src < 15; ++src) EXPECT_EQ(identified[src], src);
 }
 
+TEST(Cluster, LonePacketFiresOneEventPerHop) {
+  ClusterNetwork net(quiet_config());
+  net.start();
+  ASSERT_FALSE(net.sim().pending());
+  ASSERT_TRUE(net.inject(make_packet(net, 0, 15), 0));  // 6 hops
+  net.run_until(100000);
+  EXPECT_EQ(net.metrics().delivered(), 1u);
+  EXPECT_EQ(net.sim().events_executed(), 6u);
+}
+
 TEST(Cluster, TtlExpiryCountsAsDrop) {
   ClusterNetwork net(quiet_config());
   net.start();
@@ -225,6 +235,38 @@ TEST_F(StandaloneSwitch, ArrivalsKeepTransmissionOrder) {
     EXPECT_EQ(landed_[i].to, 1u);
   }
   EXPECT_EQ(metrics_.dropped_queue_full, 0u);
+}
+
+// One event per hop: a transmission schedules only its arrival. A wake
+// event at the link's free tick is scheduled only while packets wait.
+TEST_F(StandaloneSwitch, BackToBackPacketsFireKArrivalsAndKMinusOneWakes) {
+  env_.queue_capacity = 16;
+  build();
+  constexpr std::uint64_t kPackets = 5;
+  for (std::uint64_t i = 1; i <= kPackets; ++i) send(i);
+  EXPECT_EQ(sim_.run(), kPackets + (kPackets - 1));
+  EXPECT_EQ(landed_.size(), kPackets);
+}
+
+TEST_F(StandaloneSwitch, PacketOnTheTickTheLinkFreesStartsAtOnce) {
+  env_.queue_capacity = 1;
+  build();
+  // Scheduled before packet 1 starts, so it pops at tick 20 ahead of
+  // anything the switch schedules for that tick.
+  std::size_t waiting_after_first = 99;
+  sim_.schedule_at(20, [&] {
+    send(2);  // the link frees at 20: on it at once, not waiting
+    waiting_after_first = waiting();
+    send(3);  // the only packet waiting: within the capacity of 1
+  });
+  send(1);  // on the link for ticks [0, 20)
+  EXPECT_EQ(sim_.run(), 1u + 3u + 1u);  // the injection, 3 arrivals, 1 wake
+  EXPECT_EQ(waiting_after_first, 0u);
+  EXPECT_EQ(metrics_.dropped_queue_full, 0u);
+  ASSERT_EQ(landed_.size(), 3u);
+  EXPECT_EQ(landed_[0].at, 120u);
+  EXPECT_EQ(landed_[1].at, 140u);
+  EXPECT_EQ(landed_[2].at, 160u);
 }
 
 using StandaloneSwitchDeathTest = StandaloneSwitch;

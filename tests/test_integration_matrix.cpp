@@ -128,8 +128,8 @@ constexpr GoldenCell kPpmGolden[] = {
      0x1e33949d4747a438ULL},
     {"torus:5x5", "ppm-fragment", "adaptive", 0x8b4a9e0c07767a09ULL,
      0xebbafe91b0ba9424ULL},
-    {"mesh:6x6", "ppm-full", "dor", 0x5452492de9b1f935ULL,
-     0x8fa2d653bd0dcbcdULL},
+    {"mesh:6x6", "ppm-full", "dor", 0x9523296dedbaca56ULL,
+     0xc60df2f0ce3017a8ULL},
 };
 
 // The cluster hop itself, pinned across commits: routing, the switch's
@@ -139,20 +139,20 @@ constexpr GoldenCell kPpmGolden[] = {
 constexpr GoldenCell kClusterGolden[] = {
     {"torus:5x5", "ddpm", "adaptive", 0xd33993f8c5a29a4cULL,
      0xe682c3f796f9f707ULL},
-    {"torus:5x5", "dpm", "adaptive", 0xebeb93694432fc38ULL,
-     0xc8070b112afa6e53ULL},
-    {"torus:5x5", "none", "adaptive", 0x9a82580881301252ULL,
-     0xac0b47b813987d8fULL},
+    {"torus:5x5", "dpm", "adaptive", 0x079570e760e90d1eULL,
+     0xf03a2db1defb7099ULL},
+    {"torus:5x5", "none", "adaptive", 0x9fccb31d92548c71ULL,
+     0x6950b8a9eb37372eULL},
     {"mesh:6x6", "ddpm", "dor", 0x22367a8dbcccd578ULL,
      0xccba02818ccb502eULL},
-    {"mesh:6x6", "dpm", "dor", 0xc6483511abb32e1eULL,
-     0xd6056f0176020b60ULL},
-    {"mesh:6x6", "none", "dor", 0xfd08868f62dbbf22ULL,
-     0x452f68acfee094d2ULL},
-    {"hypercube:5", "ddpm", "adaptive", 0x4583a28ffd6fc121ULL,
-     0xe525427c04c2e5d5ULL},
-    {"mesh:4x4x4", "ddpm", "adaptive", 0x790bc37427466617ULL,
-     0x06440994baebe6ccULL},
+    {"mesh:6x6", "dpm", "dor", 0xa1179193c2cb59c2ULL,
+     0xfbf3df0be7e3da1cULL},
+    {"mesh:6x6", "none", "dor", 0x3ac66be0ec53cfdeULL,
+     0x2b0d2d7b0cd841a6ULL},
+    {"hypercube:5", "ddpm", "adaptive", 0x5c62727e75370fd7ULL,
+     0xe06748b5884e554fULL},
+    {"mesh:4x4x4", "ddpm", "adaptive", 0x9b50384eabb0f1d8ULL,
+     0x7f84616ee315356bULL},
     {"torus:6x6", "ddpm", "dor", 0xf5a6fb4f640d993cULL,
      0x230ecac1f9cf920aULL},
 };

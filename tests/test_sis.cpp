@@ -195,14 +195,14 @@ TEST(EndToEnd, WindowedDetectorTimesArePinned) {
   };
   using attack::SpoofStrategy;
   const Pin pins[] = {
-      {"cusum", SpoofStrategy::kRandomCluster, 52949},
-      {"cusum", SpoofStrategy::kRandomAny, 52949},
-      {"cusum", SpoofStrategy::kNone, 52839},
+      {"cusum", SpoofStrategy::kRandomCluster, 52918},
+      {"cusum", SpoofStrategy::kRandomAny, 52918},
+      {"cusum", SpoofStrategy::kNone, 52837},
       {"entropy", SpoofStrategy::kRandomCluster, 0},
-      {"entropy", SpoofStrategy::kRandomAny, 175714},
+      {"entropy", SpoofStrategy::kRandomAny, 175925},
       {"entropy", SpoofStrategy::kNone, 0},
       {"sketch-entropy", SpoofStrategy::kRandomCluster, 0},
-      {"sketch-entropy", SpoofStrategy::kRandomAny, 175714},
+      {"sketch-entropy", SpoofStrategy::kRandomAny, 175925},
       {"sketch-entropy", SpoofStrategy::kNone, 0},
       {"sketch-cusum", SpoofStrategy::kRandomCluster, 0},
       {"sketch-cusum", SpoofStrategy::kRandomAny, 0},
