@@ -16,14 +16,13 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
       scheme_(mark::make_scheme(config.scheme, *topo_, config.ppm_probability,
                                 config.seed ^ 0x5eedULL)),
       pattern_(attack::make_pattern(config.pattern, *topo_)),
-      registry_(config.telemetry),
-      link_state_(*this) {
+      registry_(config.telemetry) {
   if (scheme_ != nullptr) scheme_->bind_telemetry(&registry_);
   switch_env_.sim = &sim_;
   switch_env_.topo = topo_.get();
   switch_env_.router = router_.get();
   switch_env_.scheme = scheme_.get();
-  switch_env_.links = &link_state_;
+  switch_env_.failures = &failures_;
   switch_env_.metrics = &metrics_;
   switch_env_.registry = &registry_;
   switch_env_.deliver = [this](pkt::Packet&& p, topo::NodeId at) {

@@ -123,23 +123,6 @@ class ClusterNetwork {
   std::size_t infected_count() const;
 
  private:
-  /// Live congestion view: output-queue occupancy + failure set.
-  class QueueLinkState final : public route::LinkStateView {
-   public:
-    explicit QueueLinkState(const ClusterNetwork& net) : net_(net) {}
-    bool link_usable(topo::NodeId node, topo::Port port) const override {
-      const topo::NodeId next = net_.routes_.neighbor(node, port);
-      return next != topo::kInvalidNode &&
-             !net_.failures_.is_failed(node, next);
-    }
-    double congestion(topo::NodeId node, topo::Port port) const override {
-      return double(net_.switches_[node].queue_length(port));
-    }
-
-   private:
-    const ClusterNetwork& net_;
-  };
-
   void deliver_local(pkt::Packet&& packet, topo::NodeId at);
 
   ClusterConfig config_;
@@ -157,7 +140,6 @@ class ClusterNetwork {
   telemetry::Registry registry_;
   detect::BlockingFilter filter_;
   attack::AttackConfig attack_;
-  QueueLinkState link_state_;
   /// One label set shared by every switch through Env::port_labels.
   std::vector<std::string> port_labels_;
   Switch::Env switch_env_;

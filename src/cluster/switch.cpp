@@ -1,7 +1,9 @@
 #include "cluster/switch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/check.hpp"
 
@@ -32,10 +34,38 @@ std::vector<std::string> telemetry_port_labels(const topo::Topology& topo) {
   return labels;
 }
 
+/// This switch's ports as the routers' link state: a port is usable when
+/// its link exists and has not failed, and its congestion is the packets
+/// waiting for it. Another node's links (the oracle's BFS) are answered
+/// from the topology and the failure set; no router asks another node's
+/// congestion.
+class Switch::PortLinks final : public route::LinkStateView {
+ public:
+  explicit PortLinks(const Switch& sw) : sw_(sw) {}
+
+  bool link_usable(NodeId node, Port port) const override {
+    if (node == sw_.id_) {
+      return port >= 0 && std::size_t(port) < sw_.ports_.size() &&
+             sw_.usable(sw_.ports_[std::size_t(port)]);
+    }
+    const auto next = sw_.env_->topo->neighbor(node, port);
+    return next && (sw_.env_->failures == nullptr ||
+                    !sw_.env_->failures->is_failed(node, *next));
+  }
+  double congestion(NodeId node, Port port) const override {
+    DDPM_DCHECK(node == sw_.id_, "congestion asked of another switch");
+    return double(sw_.queue_length(port));
+  }
+
+ private:
+  const Switch& sw_;
+};
+
 Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
     : id_(id),
       env_(env),
       rng_(rng),
+      rule_(env->router->productive_rule()),
       ports_(std::size_t(env->topo->num_ports())) {
   // Every packet is at least a bare header, so a link starts one at most
   // every min_tx ticks, and each lands link_latency after its
@@ -68,9 +98,8 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
     env_->deliver(std::move(packet), id_);
     return;
   }
-  const auto port = env_->router->select_output(id_, packet.dest_node,
-                                                arrived_on, *env_->links, rng_);
-  if (!port) {
+  const Port port = select_output(packet.dest_node, arrived_on);
+  if (port == kNoPort) {
     ++env_->metrics->dropped_no_route;
     probes_.on_drop_no_route(env_->tracer, id_);
     return;
@@ -80,7 +109,7 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
     probes_.on_drop_ttl(env_->tracer, id_);
     return;
   }
-  OutputPort& out = ports_[std::size_t(*port)];
+  OutputPort& out = ports_[std::size_t(port)];
   if (out.fifo.size() - out.sent >= env_->queue_capacity) {
     ++env_->metrics->dropped_queue_full;
     probes_.on_drop_queue_full(env_->tracer, id_);
@@ -92,7 +121,48 @@ DDPM_HOT void Switch::handle(pkt::Packet&& packet, Port arrived_on) {
   if (!packet.trace.empty()) packet.trace.push_back(next);
   out.fifo.push_back(std::move(packet));
   probes_.on_forward(out.fifo.size() - out.sent);
-  start_transmission(*port);
+  start_transmission(port);
+}
+
+DDPM_HOT Port Switch::select_output(NodeId dest, Port arrived_on) {
+  if (rule_.coords == nullptr) return select_by_router(dest, arrived_on);
+  std::uint32_t mask = route::productive_mask(*rule_.coords, id_, dest);
+  if (rule_.lowest_only) mask &= ~mask + 1;  // the lowest set bit
+  // route::pick over the switch's own ports: ascending, least waiting
+  // packets first, and one draw only among several tied ports.
+  std::size_t best = 0;
+  std::uint32_t tied = 0;
+  std::uint64_t ties = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    const int p = std::countr_zero(mask);
+    const OutputPort& out = ports_[std::size_t(p)];
+    if (!usable(out)) continue;
+    const std::size_t waiting = out.fifo.size() - out.sent;
+    if (ties == 0 || waiting < best) {
+      best = waiting;
+      tied = 0;
+      ties = 0;
+    }
+    if (waiting == best) {
+      tied |= std::uint32_t{1} << p;
+      ++ties;
+    }
+  }
+  // No usable candidate: the router misroutes (adaptive-misroute) or
+  // blocks; its pick draws nothing when nothing is usable.
+  if (ties == 0) return select_by_router(dest, arrived_on);
+  if (ties > 1) {
+    for (std::uint64_t k = rng_.next_below(ties); k != 0; --k) {
+      tied &= tied - 1;
+    }
+  }
+  return Port(std::countr_zero(tied));
+}
+
+Port Switch::select_by_router(NodeId dest, Port arrived_on) {
+  const PortLinks links(*this);
+  return env_->router->select_output(id_, dest, arrived_on, links, rng_)
+      .value_or(kNoPort);
 }
 
 DDPM_HOT void Switch::start_transmission(Port port) {

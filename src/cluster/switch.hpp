@@ -17,6 +17,14 @@
 //
 // Per-hop processing order matches walk_packet (walk.hpp) and Figure 4:
 // route -> decrement TTL -> mark with (current, next).
+//
+// Routing reads only state the switch owns. For dimension-order and
+// adaptive routing (route::ProductiveRule) the candidates are a port mask
+// from the router's coordinate table, and the least-congested usable port
+// comes from the switch's own output ports, with no virtual call per hop.
+// The other routers, and any hop with no usable candidate (the misroute,
+// or a block), go through Router::select_output over a LinkStateView of
+// the same ports.
 #pragma once
 
 #include <functional>
@@ -44,7 +52,12 @@ class Switch {
     const topo::Topology* topo = nullptr;
     const route::Router* router = nullptr;
     mark::MarkingScheme* scheme = nullptr;  // nullable: unmarked network
+    /// Unread: the switch routes from its own ports and `failures`. Kept
+    /// only because perfbench/layers.cpp still assigns it; the benchmark
+    /// change of ROADMAP item 3 deletes it.
     const route::LinkStateView* links = nullptr;
+    /// Failed links no port may use; nullable (no failures).
+    const topo::LinkFailureSet* failures = nullptr;
     Metrics* metrics = nullptr;
     /// Per-switch/per-port registry series; nullable (no registration).
     telemetry::Registry* registry = nullptr;
@@ -85,6 +98,20 @@ class Switch {
 
   NodeId id() const noexcept { return id_; }
 
+  /// select_output's answer when the router permits no usable port.
+  static constexpr Port kNoPort = -1;
+
+  /// The output port toward `dest` for a packet that arrived on
+  /// `arrived_on`, or kNoPort. Draws from the switch's generator exactly
+  /// as Router::select_output would over this switch's queues and the
+  /// failure set; public so that equivalence can be tested. (A plain Port,
+  /// not an optional: GCC returns an optional<int> through the stack, and
+  /// reading it back as one word stalls store forwarding on every hop.)
+  Port select_output(NodeId dest, Port arrived_on);
+
+  /// The switch's generator (for tests that compare draw counts).
+  const netsim::Rng& rng() const noexcept { return rng_; }
+
  private:
   struct OutputPort {
     /// Every packet routed to this port and not yet landed, in order: the
@@ -106,11 +133,25 @@ class Switch {
     bool wake_pending = false;
   };
 
+  class PortLinks;
+
+  /// Router::select_output over this switch's ports (PortLinks).
+  Port select_by_router(NodeId dest, Port arrived_on);
+  /// The port's link exists and has not failed.
+  bool usable(const OutputPort& out) const noexcept {
+    return out.neighbor != topo::kInvalidNode &&
+           (env_->failures == nullptr ||
+            !env_->failures->is_failed(id_, out.neighbor));
+  }
+
   void start_transmission(Port port);
 
   NodeId id_;
   Env* env_;
   netsim::Rng rng_;
+  /// The router's mask rule, read once; coords == nullptr routes every hop
+  /// through select_by_router.
+  route::ProductiveRule rule_;
   std::vector<OutputPort> ports_;
   telemetry::SwitchProbes probes_;
 };

@@ -12,14 +12,21 @@
 // — which is exactly what the hot-no-alloc analyzer rule and the
 // zero-allocation ctest assert.
 //
+// Slots are raw storage: a push move-constructs the element into its slot
+// and a pop destroys it there, so an element is constructed once and
+// destroyed once however long it waits (a Packet is never default-built
+// or move-assigned over a live slot), and whatever it owns (a shared_ptr,
+// a vector's buffer) is released at the pop.
+//
 // Growth (unbounded injection queues only) doubles into a fresh slab with
 // the elements rotated back to offset zero; amortized O(1), and never on
 // the credit-bounded switch-port queues.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/check.hpp"
 
@@ -27,17 +34,44 @@ namespace ddpm::core {
 
 template <typename T>
 class RingBuffer {
+  // grow() relocates elements one by one; a throwing move would leave the
+  // ring half moved.
+  static_assert(std::is_nothrow_move_constructible_v<T>,
+                "RingBuffer elements must be nothrow move-constructible");
+
  public:
   RingBuffer() = default;
 
+  RingBuffer(RingBuffer&& other) noexcept
+      : slots_(std::exchange(other.slots_, nullptr)),
+        capacity_(std::exchange(other.capacity_, 0)),
+        head_(std::exchange(other.head_, 0)),
+        count_(std::exchange(other.count_, 0)) {}
+
+  RingBuffer& operator=(RingBuffer&& other) noexcept {
+    if (this != &other) {
+      release();
+      slots_ = std::exchange(other.slots_, nullptr);
+      capacity_ = std::exchange(other.capacity_, 0);
+      head_ = std::exchange(other.head_, 0);
+      count_ = std::exchange(other.count_, 0);
+    }
+    return *this;
+  }
+
+  RingBuffer(const RingBuffer&) = delete;
+  RingBuffer& operator=(const RingBuffer&) = delete;
+
+  ~RingBuffer() { release(); }
+
   bool empty() const noexcept { return count_ == 0; }
   std::size_t size() const noexcept { return count_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Pre-sizes the slab so pushes up to `n` outstanding elements never
   /// allocate. Call once at construction time (hot code must not grow).
   void reserve(std::size_t n) {
-    if (n > slots_.size()) grow(n);
+    if (n > capacity_) grow(n);
   }
 
   T& front() {
@@ -52,47 +86,61 @@ class RingBuffer {
   /// Element `i` places behind the front (i < size()).
   T& operator[](std::size_t i) {
     DDPM_DCHECK(i < count_, "ring index out of range");
-    std::size_t idx = head_ + i;
-    if (idx >= slots_.size()) idx -= slots_.size();
-    return slots_[idx];
+    return slots_[slot(i)];
   }
 
+  /// Move-constructs `value` into the slot behind the last element.
   void push_back(T&& value) {
-    if (count_ == slots_.size()) grow(count_ == 0 ? 4 : count_ * 2);
-    std::size_t tail = head_ + count_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    slots_[tail] = std::move(value);
+    if (count_ == capacity_) grow(count_ == 0 ? 4 : count_ * 2);
+    std::construct_at(slots_ + slot(count_), std::move(value));
     ++count_;
   }
 
+  /// Destroys the front element in its slot.
   void pop_front() {
     DDPM_DCHECK(count_ > 0, "pop_front() on empty ring");
-    slots_[head_] = T{};  // release owned resources (e.g. shared_ptr)
+    std::destroy_at(slots_ + head_);
     ++head_;
-    if (head_ == slots_.size()) head_ = 0;
+    if (head_ == capacity_) head_ = 0;
     --count_;
   }
 
-  void clear() {
-    while (count_ > 0) pop_front();
+  /// Destroys every element; the slab stays.
+  void clear() noexcept {
+    for (std::size_t i = 0; i < count_; ++i) std::destroy_at(slots_ + slot(i));
     head_ = 0;
+    count_ = 0;
   }
 
  private:
+  /// Slab index of the element `i` places behind the front (i <= size()).
+  std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t idx = head_ + i;
+    return idx >= capacity_ ? idx - capacity_ : idx;
+  }
+
   void grow(std::size_t target) {
-    std::vector<T> bigger;
-    bigger.reserve(target);
+    T* bigger = std::allocator<T>{}.allocate(target);
     for (std::size_t i = 0; i < count_; ++i) {
-      std::size_t idx = head_ + i;
-      if (idx >= slots_.size()) idx -= slots_.size();
-      bigger.push_back(std::move(slots_[idx]));
+      T* from = slots_ + slot(i);
+      std::construct_at(bigger + i, std::move(*from));
+      std::destroy_at(from);
     }
-    bigger.resize(target);
-    slots_ = std::move(bigger);
+    if (slots_ != nullptr) std::allocator<T>{}.deallocate(slots_, capacity_);
+    slots_ = bigger;
+    capacity_ = target;
     head_ = 0;
   }
 
-  std::vector<T> slots_;
+  void release() noexcept {
+    clear();
+    if (slots_ != nullptr) std::allocator<T>{}.deallocate(slots_, capacity_);
+    slots_ = nullptr;
+    capacity_ = 0;
+  }
+
+  T* slots_ = nullptr;  // capacity_ slots; count_ live ones from head_ on
+  std::size_t capacity_ = 0;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };

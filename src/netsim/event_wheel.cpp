@@ -83,30 +83,45 @@ SimTime EventWheel::next_time() const noexcept {
   return tw < th ? tw : th;  // kNoTime is the max SimTime
 }
 
-DDPM_HOT std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
+std::pair<SimTime, EventWheel::Action> EventWheel::pop() {
   DDPM_CHECK(live_ != 0, "pop on empty wheel");
+  std::pair<SimTime, Action> out;
+  pop_due(kNoTime, out.first, out.second);
+  return out;
+}
+
+DDPM_HOT bool EventWheel::pop_due(SimTime until, SimTime& when,
+                                  Action& action) {
+  DDPM_DCHECK(!action, "pop_due into a non-empty action");
+  if (live_ == 0) return false;
   const SimTime tw = wheel_next();
-  --live_;
   // Heap wins ties: its entries for an instant were scheduled while that
   // instant was still out of window, i.e. before any bucket entry for it.
   if (!heap_.empty() && heap_.front().when <= tw) {
     const Entry top = heap_.front();
+    if (top.when > until) return false;
     DDPM_DCHECK(top.when >= cursor_, "event time went backwards");
     cursor_ = top.when;
-    Action action = std::move(tickets_[top.ticket]);
+    action = std::move(tickets_[top.ticket]);
     release_ticket(top.ticket);
     remove_top();
-    return {top.when, std::move(action)};
+    --live_;
+    when = top.when;
+    return true;
   }
+  // Events are pending and the heap is empty or later: tw is a bucket's.
+  if (tw > until) return false;
   const std::size_t b = std::size_t(tw) & mask_;
   Bucket& bk = buckets_[b];
   const std::uint32_t ticket = bk.tickets[bk.head];
   ++bk.head;
   cursor_ = tw;  // slides the window forward
-  Action action = std::move(tickets_[ticket]);
+  action = std::move(tickets_[ticket]);
   release_ticket(ticket);
   if (bk.head == bk.tickets.size()) reset_bucket(b);
-  return {tw, std::move(action)};
+  --live_;
+  when = tw;
+  return true;
 }
 
 void EventWheel::clear() {

@@ -77,6 +77,14 @@ class EventWheel {
   /// may itself schedule events.
   std::pair<SimTime, Action> pop();
 
+  /// Removes the earliest event if it is due by `until`: its time goes to
+  /// `when`, its action is moved into `action` (which must be empty), and
+  /// the result is true. Returns false, changing nothing, when the wheel
+  /// is empty or its earliest event is later than `until`. One occupancy
+  /// scan and one move of the action per event: Simulator::run's form of
+  /// next_time() followed by pop().
+  bool pop_due(SimTime until, SimTime& when, Action& action);
+
   /// Discards all pending events and resets the clock watermark, so a
   /// cleared wheel may be reused from time zero.
   void clear();

@@ -35,6 +35,12 @@ class AdaptiveRouter : public Router {
   PortList candidates(NodeId current, NodeId dest,
                       Port arrived_on) const override;
 
+  /// The productive set; the misrouting variant's fallback is left to
+  /// select_output.
+  ProductiveRule productive_rule() const noexcept override {
+    return {&coords_, false};
+  }
+
  private:
   topo::CoordTable coords_;
 };

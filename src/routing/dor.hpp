@@ -26,6 +26,10 @@ class DimensionOrderRouter final : public Router {
   PortList candidates(NodeId current, NodeId dest,
                       Port arrived_on) const override;
 
+  ProductiveRule productive_rule() const noexcept override {
+    return {&coords_, true};
+  }
+
  private:
   topo::CoordTable coords_;
 };

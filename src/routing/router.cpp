@@ -35,19 +35,9 @@ std::optional<Port> pick(const PortList& ports, NodeId current,
 PortList productive_ports(const topo::CoordTable& coords, NodeId current,
                           NodeId target) {
   PortList out;
-  if (current == target) return out;
-  if (coords.hypercube()) {
-    // Port p flips bit p: every differing bit, lowest first.
-    for (NodeId diff = current ^ target; diff != 0; diff &= diff - 1) {
-      out.push_back(std::countr_zero(diff));
-    }
-    return out;
-  }
-  const auto* a = coords.row(current);
-  const auto* b = coords.row(target);
-  for (std::size_t d = 0; d < coords.num_dims(); ++d) {
-    const int dir = coords.direction(d, a[d], b[d]);
-    if (dir != 0) out.push_back(static_cast<Port>(2 * d + (dir > 0 ? 1 : 0)));
+  for (std::uint32_t m = productive_mask(coords, current, target); m != 0;
+       m &= m - 1) {
+    out.push_back(std::countr_zero(m));
   }
   return out;
 }

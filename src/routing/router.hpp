@@ -12,6 +12,7 @@
 // blocked). Selection then applies congestion-awareness uniformly.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,13 +30,42 @@ using topo::Port;
 /// Sentinel for "injected locally, did not arrive through a port".
 inline constexpr Port kLocalPort = -1;
 
-/// Every productive (distance-reducing) port at `current` toward `target`,
-/// ascending; empty at the target. Hypercube: one port per differing id
-/// bit. Mesh and torus: one port per unaligned dimension, the shorter way
-/// round on a torus (CoordTable::direction). The minimal routers' one
-/// rule, read from the coordinate table.
+/// Every productive (distance-reducing) port at `current` toward `target`
+/// as a port bitmask (bit p = port p); 0 at the target. Hypercube: one
+/// port per differing id bit. Mesh and torus: one port per unaligned
+/// dimension, the shorter way round on a torus (CoordTable::direction).
+/// The minimal routers' one rule, read from the coordinate table; inline
+/// and non-virtual, so the cluster switch evaluates it per hop.
+inline std::uint32_t productive_mask(const topo::CoordTable& coords,
+                                     NodeId current, NodeId target) noexcept {
+  // Port p flips id bit p; at most 32 ports (PortList::kCapacity).
+  if (coords.hypercube()) return std::uint32_t(current ^ target);
+  const auto* a = coords.row(current);
+  const auto* b = coords.row(target);
+  std::uint32_t mask = 0;
+  for (std::size_t d = 0; d < coords.num_dims(); ++d) {
+    const int dir = coords.direction(d, a[d], b[d]);
+    if (dir != 0) mask |= std::uint32_t{1} << (2 * d + (dir > 0 ? 1 : 0));
+  }
+  return mask;
+}
+
+/// productive_mask's ports in a list, ascending.
 PortList productive_ports(const topo::CoordTable& coords, NodeId current,
                           NodeId target);
+
+/// A router whose candidates are the productive ports, or the lowest of
+/// them, states so here. A switch then evaluates the candidate set itself
+/// as productive_mask over `coords`, with no virtual call per hop, and
+/// picks the way select_output would. Only when no candidate is usable
+/// does it call select_output, which misroutes or blocks.
+struct ProductiveRule {
+  /// The router's coordinate table; null when the candidates are not a
+  /// productive set (turn model, Valiant, oracle).
+  const topo::CoordTable* coords = nullptr;
+  /// Dimension order: only the lowest productive port is a candidate.
+  bool lowest_only = false;
+};
 
 /// Dynamic link state the router may consult. Implemented over static
 /// failure sets in tests and over live output-queue occupancy in the
@@ -121,6 +151,10 @@ class Router {
                                             Port arrived_on,
                                             const LinkStateView& links,
                                             netsim::Rng& rng) const;
+
+  /// The candidate rule a switch may evaluate without calling
+  /// select_output. Read once, when the switch is built.
+  virtual ProductiveRule productive_rule() const noexcept { return {}; }
 
   const topo::Topology& topology() const noexcept { return topo_; }
 

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -270,6 +271,44 @@ TEST(Simulator, NestedSchedulingMatchesTimeOrderModel) {
   EXPECT_EQ(budget, 0u) << "the run drained before the budget was spent";
   EXPECT_EQ(sim.events_executed(), seq);
   EXPECT_EQ(sim.clamped_events(), 0u);
+}
+
+TEST(Simulator, EachFiredActionIsReleasedBeforeTheNextEventRuns) {
+  // What an action captures is destroyed right after it runs: the next
+  // event (same instant, bucket or overflow heap) already sees it gone,
+  // and an event past the horizon keeps its capture until it fires.
+  for (const bool stepping : {false, true}) {
+    Simulator sim;
+    std::vector<std::weak_ptr<int>> watch;
+    std::vector<std::vector<bool>> alive;  // per event: which captures live
+    auto event = [&](SimTime when) {
+      auto token = std::make_shared<int>(int(watch.size()));
+      watch.push_back(token);
+      sim.schedule_at(when, [&, token = std::move(token)] {
+        std::vector<bool> now;
+        for (const auto& w : watch) now.push_back(!w.expired());
+        alive.push_back(std::move(now));
+      });
+    };
+    event(10);
+    event(10);    // same instant, bucket path
+    event(5000);  // beyond the window: overflow heap
+    event(9000);  // past the first horizon
+    if (stepping) {
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(sim.step());
+    } else {
+      EXPECT_EQ(sim.run(8000), 3u);
+    }
+    // Each event saw every earlier capture released, its own and the later
+    // ones still held.
+    EXPECT_EQ(alive, (std::vector<std::vector<bool>>{{true, true, true, true},
+                                                     {false, true, true, true},
+                                                     {false, false, true, true}}));
+    EXPECT_TRUE(watch[2].expired());  // released before run/step returned
+    EXPECT_FALSE(watch[3].expired());  // still pending
+    sim.run();
+    EXPECT_TRUE(watch[3].expired());
+  }
 }
 
 }  // namespace
