@@ -12,7 +12,7 @@ ClusterNetwork::ClusterNetwork(const ClusterConfig& config)
       topo_(topo::make_topology(config.topology)),
       addresses_(topo_->num_nodes()),
       router_(route::make_router(config.router, *topo_)),
-      routes_(*topo_, nullptr, 0),
+      routes_(*topo_),
       scheme_(mark::make_scheme(config.scheme, *topo_, config.ppm_probability,
                                 config.seed ^ 0x5eedULL)),
       pattern_(attack::make_pattern(config.pattern, *topo_)),

@@ -19,8 +19,6 @@ class DimensionOrderRouter final : public Router {
 
   std::string name() const override { return "dor"; }
   bool is_deterministic() const noexcept override { return true; }
-  // One port, chosen from (current, dest) coordinates alone.
-  bool has_static_candidates() const noexcept override { return true; }
 
   /// The one port: the first of productive_ports().
   PortList candidates(NodeId current, NodeId dest,

@@ -10,11 +10,11 @@
 // loop's cold fallback path and the CDG verifier's exhaustive sweeps pay
 // zero allocator traffic.
 //
-// The capacity deliberately matches the wormhole engine's route-table
-// radix guard (`num_ports_ > 32` disables precomputed candidate masks,
-// src/wormhole/wormhole.cpp): no supported topology exceeds 32 ports per
-// switch, and a policy that emitted more would already have broken the
-// mask tables. Overflow is a DDPM_CHECK, not silent truncation — a
+// The capacity deliberately matches the 32-bit port masks of
+// route::productive_mask, which both substrates evaluate: no supported
+// topology exceeds 32 ports per switch (Coord::kMaxDims = 16 dimensions,
+// two ports each), and a policy that emitted more would already have
+// broken the masks. Overflow is a DDPM_CHECK, not silent truncation — a
 // fabricated port set corrupts routing, it must abort loudly.
 #pragma once
 
@@ -32,8 +32,8 @@ class PortList {
   using iterator = topo::Port*;
   using const_iterator = const topo::Port*;
 
-  /// One more than the largest switch radix the wormhole route tables
-  /// accept; see the file comment.
+  /// The largest switch radix a 32-bit port mask holds; see the file
+  /// comment.
   static constexpr std::size_t kCapacity = 32;
 
   constexpr PortList() noexcept = default;

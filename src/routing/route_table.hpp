@@ -3,37 +3,32 @@
 // the one home of the port layout (topology.hpp) and the torus dateline
 // rule (a link wraps when its coordinate delta is not +-1). Built once:
 //
-//   * per-(node, port) links, always: neighbor, the neighbor's port back,
-//     and the wrap flag;
-//   * per-(node, dest) pair tables, only when N <= `max_pair_nodes` (they
-//     are O(N^2)): the dimension-order escape port and, for a router with
-//     static candidates, the candidate set as an ascending port bitmask.
-//     Over budget, escape_port() asks the dimension-order router instead.
+//   * per-(node, port) links: neighbor, the neighbor's port back, and the
+//     wrap flag;
+//   * the coordinate table the productive rule (router.hpp
+//     productive_mask) reads, so the dimension-order escape port is the
+//     lowest productive port, computed per hop. There is no per-pair
+//     table: the state is O(N*P + N*D) at every size.
 //
 // Read by the wormhole engine, the protocol model, the escape CDG and
 // (links only) the cluster network. Accessors are inline and non-virtual,
-// so DDPM_HOT loops may call them. The table keeps a reference to the
-// topology, which must outlive it.
+// so DDPM_HOT loops may call them.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "routing/dor.hpp"
 #include "routing/router.hpp"
+#include "topology/coord_table.hpp"
 #include "topology/topology.hpp"
 
 namespace ddpm::route {
 
 class RouteTable {
  public:
-  /// `router` may be null. Candidate masks are built only when it
-  /// has_static_candidates(), there are at most 32 ports, and every
-  /// candidate list is verified strictly ascending, so iterating a mask's
-  /// set bits replays the router's order bit for bit.
-  RouteTable(const topo::Topology& topo, const Router* router,
-             std::size_t max_pair_nodes);
+  explicit RouteTable(const topo::Topology& topo);
 
   /// Neighbor through `port`, or topo::kInvalidNode where no link exists.
   NodeId neighbor(NodeId node, Port port) const noexcept {
@@ -55,18 +50,14 @@ class RouteTable {
     return -1;
   }
 
-  bool has_escape_ports() const noexcept { return !escape_port_.empty(); }
-  /// Dimension-order next hop toward `dest`; -1 at node == dest.
-  Port escape_port(NodeId node, NodeId dest) const {
-    if (!escape_port_.empty()) return escape_port_[node * nodes_ + dest];
-    const PortList hop = dor_.candidates(node, dest, kLocalPort);
-    return hop.empty() ? -1 : hop.front();
-  }
+  /// The coordinates productive_mask reads.
+  const topo::CoordTable& coords() const noexcept { return coords_; }
 
-  bool has_candidate_masks() const noexcept { return !cand_mask_.empty(); }
-  /// Bit p set = port p is a candidate toward `dest`.
-  std::uint32_t candidate_mask(NodeId node, NodeId dest) const noexcept {
-    return cand_mask_[node * nodes_ + dest];
+  /// Dimension-order next hop toward `dest`: the lowest productive port,
+  /// -1 at node == dest.
+  Port escape_port(NodeId node, NodeId dest) const noexcept {
+    const std::uint32_t mask = productive_mask(coords_, node, dest);
+    return mask == 0 ? -1 : Port(std::countr_zero(mask));
   }
 
  private:
@@ -76,12 +67,9 @@ class RouteTable {
     std::uint8_t wrap = 0;
   };
 
-  DimensionOrderRouter dor_;
-  std::size_t nodes_;
+  topo::CoordTable coords_;
   std::size_t ports_;
-  std::vector<Link> links_;               // N*P
-  std::vector<std::int8_t> escape_port_;  // N*N, or empty over budget
-  std::vector<std::uint32_t> cand_mask_;  // N*N, or empty
+  std::vector<Link> links_;  // N*P
 };
 
 }  // namespace ddpm::route

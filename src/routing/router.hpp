@@ -55,10 +55,13 @@ PortList productive_ports(const topo::CoordTable& coords, NodeId current,
                           NodeId target);
 
 /// A router whose candidates are the productive ports, or the lowest of
-/// them, states so here. A switch then evaluates the candidate set itself
-/// as productive_mask over `coords`, with no virtual call per hop, and
-/// picks the way select_output would. Only when no candidate is usable
-/// does it call select_output, which misroutes or blocks.
+/// them, states so here. Such candidates depend on (current, dest) alone,
+/// never on the arrival port, and come out ascending. Both substrates
+/// then evaluate the candidate set themselves as productive_mask over the
+/// coordinates, with no virtual call per hop: the cluster switch picks
+/// the way select_output would and calls select_output, which misroutes
+/// or blocks, only when no candidate is usable; a wormhole router
+/// allocates over the mask's ports in ascending order.
 struct ProductiveRule {
   /// The router's coordinate table; null when the candidates are not a
   /// productive set (turn model, Valiant, oracle).
@@ -133,15 +136,6 @@ class Router {
     return {};
   }
 
-  /// True iff `candidates` depends only on (current, dest) — never on
-  /// arrived_on or mutable router state — AND returns ports in strictly
-  /// ascending order. Such candidate sets can be snapshotted into flat
-  /// per-(node, dest) tables at network construction (the wormhole
-  /// substrate does) with byte-identical routing behaviour. Leave false
-  /// when unsure: false only costs the precompute, true wrongly claims
-  /// arrival-invariance the tables would then bake in.
-  virtual bool has_static_candidates() const noexcept { return false; }
-
   /// Picks the output port: the usable preferred candidate with the lowest
   /// congestion (random tie-break), falling back to misroute candidates
   /// when all preferred ports are unusable. Returns nullopt when every
@@ -153,7 +147,7 @@ class Router {
                                             netsim::Rng& rng) const;
 
   /// The candidate rule a switch may evaluate without calling
-  /// select_output. Read once, when the switch is built.
+  /// candidates or select_output. Read once, when the switch is built.
   virtual ProductiveRule productive_rule() const noexcept { return {}; }
 
   const topo::Topology& topology() const noexcept { return topo_; }

@@ -204,7 +204,7 @@ CdgResult build_escape_cdg(const topo::Topology& topo) {
   // hop carries the packet's current class, crossing a wrap link moves it
   // to class 1 for the rest of that dimension, and the class resets to 0
   // when dimension order advances. Mesh and hypercube use one VC.
-  const route::RouteTable routes(topo, nullptr, topo.num_nodes());
+  const route::RouteTable routes(topo);
   const int kVcs = topo.kind() == topo::TopologyKind::kTorus ? 2 : 1;
   const NodeId n = topo.num_nodes();
   const std::size_t channels = std::size_t(n) *

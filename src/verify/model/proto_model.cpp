@@ -32,8 +32,7 @@ ProtoModel::ProtoModel(const ModelOptions& opt) : opt_(opt) {
   }
 
   // Links, wrap flags and escape hops: the table the engine routes from.
-  routes_ = std::make_unique<route::RouteTable>(*topo_, nullptr,
-                                                 topo_->num_nodes());
+  routes_ = std::make_unique<route::RouteTable>(*topo_);
   const std::size_t N = std::size_t(nodes_);
   const std::size_t P = std::size_t(ports_);
   cand_.assign(N * N * (P + 1), route::PortList{});

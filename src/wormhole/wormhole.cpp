@@ -1,6 +1,7 @@
 #include "wormhole/wormhole.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,8 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
                       : (topo.kind() == topo::TopologyKind::kTorus ? 2 : 1)),
       num_nodes_(int(topo.num_nodes())),
       num_ports_(topo.num_ports()),
-      table_(topo, &router, config.route_table_max_nodes) {
+      rule_(router.productive_rule()),
+      table_(topo) {
   // Factory deadlock gate (routing/deadlock.hpp): a blocking substrate
   // must carry the escape VCs the routing declaration demands. The
   // `disable_escape` negative control opts out explicitly — it exists to
@@ -38,8 +40,8 @@ WormholeNetwork::WormholeNetwork(const topo::Topology& topo,
   }
   if (!config_.use_route_tables) {
     throw std::invalid_argument(
-        "WormholeConfig::use_route_tables = false is not supported: set "
-        "route_table_max_nodes = 0 to route through the virtual interface");
+        "WormholeConfig::use_route_tables = false is not supported: the "
+        "network always routes from its route::RouteTable");
   }
   units_ = (num_ports_ + 1) * V;
   switch_units_ = num_ports_ * V;
@@ -343,43 +345,40 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
     return true;
   }
 
-  // 1. Adaptive VCs on any productive port: pick the (port, vc) with the
+  // The productive ports toward the destination, once per allocation:
+  // the adaptive candidates of a router with a productive rule, and the
+  // escape layer's dimension-order port (the lowest of them).
+  const std::uint32_t productive =
+      route::productive_mask(table_.coords(), node, packet.dest_node);
+
+  // 1. Adaptive VCs on any candidate port: pick the (port, vc) with the
   //    most downstream credits (congestion-aware), first-wins on ties.
-  //    Fast path: replay the precomputed candidate mask in ascending port
-  //    order (verified identical to the router's order at construction).
   Port best_port = -1;
   int best_vc = -1;
   int best_credits = 0;
-  if (table_.has_candidate_masks()) {
-    std::uint32_t mask = table_.candidate_mask(node, packet.dest_node);
-    while (mask != 0) {
-      const Port p = Port(__builtin_ctz(mask));
-      mask &= mask - 1;
-      for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutCtl& out = out_[out_index(node, p, v)];
-        if (out.allocated == 0 && int(out.credits) > best_credits) {
-          best_credits = int(out.credits);
-          best_port = p;
-          best_vc = v;
-        }
+  const auto consider = [&](Port p) {
+    for (int v = escape_vcs_; v < total_vcs(); ++v) {
+      const OutCtl& out = out_[out_index(node, p, v)];
+      if (out.allocated == 0 && int(out.credits) > best_credits) {
+        best_credits = int(out.credits);
+        best_port = p;
+        best_vc = v;
       }
     }
+  };
+  if (rule_.coords != nullptr) {
+    // The router's candidates are the productive mask (or its lowest
+    // bit), in ascending port order.
+    std::uint32_t mask =
+        rule_.lowest_only ? productive & (~productive + 1) : productive;
+    for (; mask != 0; mask &= mask - 1) consider(Port(std::countr_zero(mask)));
   } else {
-    // Cold fallback (over the table budget, or a turn-model router without
-    // static candidates): the per-flit virtual dispatch and candidate-vector
-    // allocation this branch performs are exactly what the tables remove.
+    // Cold path for routers without a productive rule (turn model,
+    // Valiant, oracle): their candidates may depend on the arrival port or
+    // on router state, so they are asked per allocation.
     const auto candidates = router_.candidates(  // ddpm-analyze: allow(hot-no-virtual)
         node, packet.dest_node, arrived_on);
-    for (Port p : candidates) {
-      for (int v = escape_vcs_; v < total_vcs(); ++v) {
-        const OutCtl& out = out_[out_index(node, p, v)];
-        if (out.allocated == 0 && int(out.credits) > best_credits) {
-          best_credits = int(out.credits);
-          best_port = p;
-          best_vc = v;
-        }
-      }
-    }
+    for (Port p : candidates) consider(p);
   }
 
   // 2. Escape layer: dimension-order port, dateline-disciplined VC class.
@@ -390,8 +389,8 @@ DDPM_HOT bool WormholeNetwork::allocate(NodeId node, int in_port, int unit) {
     return false;  // no escape lanes: wait (possibly forever — deadlock)
   }
   if (best_port < 0) {
-    const Port p = table_.escape_port(node, packet.dest_node);
-    if (p < 0) return false;  // only possible if already at dest
+    if (productive == 0) return false;  // only possible if already at dest
+    const Port p = Port(std::countr_zero(productive));
     if (escape_vcs_ > 1) {
       // Torus dateline: entering a new dimension resets the class; taking
       // the wraparound link promotes it.

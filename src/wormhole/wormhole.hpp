@@ -26,13 +26,18 @@
 // Steady-state performance: the per-flit loop is annotated DDPM_HOT and
 // audited by the hot-path analyzer rules (docs/STATIC_ANALYSIS.md). It
 // routes from a route::RouteTable (src/routing/route_table.hpp) built at
-// construction — neighbor/reverse-port and dateline wrap flag per (node,
-// port), the escape router's dimension-order next hop per (node, dest),
-// and, for routers that declare arrival-invariant candidates, the
-// candidate port set as a bitmask per (node, dest) — so the steady-state
-// loop performs no virtual dispatch and no heap allocation. Table-driven
-// routing is byte-identical to the virtual path, which
-// `route_table_max_nodes = 0` selects so tests can prove it.
+// construction: neighbor/reverse-port and dateline wrap flag per (node,
+// port), and the coordinate table. Each allocation computes the
+// productive port mask toward the destination once (route::
+// productive_mask, the rule the cluster switch reads too); its lowest bit
+// is the escape layer's dimension-order port, and for a router with a
+// productive rule (dimension order, adaptive) the mask, or its lowest
+// bit, is the adaptive candidate set. The steady-state loop then performs
+// no virtual dispatch and no heap allocation, and its state is O(N·P +
+// N·D) at every fabric size. Only routers without a productive rule (turn
+// model, Valiant, oracle) are asked for candidates through the virtual
+// interface; tests wrap a productive router the same way to prove the two
+// paths byte-identical.
 //
 // On top of the tables sits a structure-of-arrays layout: all per-unit
 // control state lives in flat UnitCtl/OutCtl records indexed by the global
@@ -106,14 +111,15 @@ struct WormholeConfig {
   /// constructor rejects values below the topology's diameter.
   std::uint8_t initial_ttl = 255;
   /// Not read: the network draws no random numbers. Kept declared, like
-  /// the two `true`-only flags below, because the benchmark harness
-  /// (perfbench/workloads.cpp) sets it; they go when that harness changes.
+  /// route_table_max_nodes and the two `true`-only flags below, because
+  /// the benchmark harness (perfbench/workloads.cpp) sets it; they go when
+  /// that harness changes.
   std::uint64_t seed = 1;
-  /// Only `true` is accepted (std::invalid_argument on `false`); the
-  /// virtual reference path is `route_table_max_nodes = 0`.
+  /// Only `true` is accepted (std::invalid_argument on `false`): the
+  /// network always routes from its route::RouteTable.
   bool use_route_tables = true;
-  /// Per-(node, dest) route tables are O(N^2); beyond this many nodes (and
-  /// always at 0) the network routes through the virtual Router instead.
+  /// Not read: routing holds no per-(node, dest) table, so no fabric size
+  /// changes how the network routes.
   std::size_t route_table_max_nodes = 4096;
   /// Only `true` is accepted (std::invalid_argument on `false`).
   bool use_soa_engine = true;
@@ -121,8 +127,9 @@ struct WormholeConfig {
 
 class WormholeNetwork {
  public:
-  /// `router` supplies the adaptive candidates; the escape layer always
-  /// uses an internal dimension-order router. `scheme` may be null.
+  /// `router` supplies the adaptive candidates: its productive rule, read
+  /// once here, or else its virtual candidates(). The escape layer always
+  /// routes in dimension order from the route table. `scheme` may be null.
   /// Throws std::invalid_argument when the router needs escape VCs that
   /// the config removes, when (ports + 1) * total_vcs() exceeds the 64-bit
   /// per-node unit masks, when initial_ttl is below the topology's
@@ -159,13 +166,6 @@ class WormholeNetwork {
   std::uint64_t flits_in_flight() const noexcept { return flits_in_flight_; }
   std::uint64_t injection_backlog() const;
   std::uint64_t dropped_ttl() const noexcept { return dropped_ttl_; }
-
-  /// True when construction built the per-(node, dest) candidate table for
-  /// `router` (arrival-invariant candidates, N within budget). Exposed so
-  /// tests can assert the fast path is actually exercised.
-  bool using_route_tables() const noexcept {
-    return table_.has_candidate_masks();
-  }
 
   /// Captures the credit/VC protocol state (the model's projection).
   /// Cold by construction: the model checker's lockstep-differential test
@@ -326,7 +326,12 @@ class WormholeNetwork {
   int escape_vcs_;
   int num_nodes_ = 0;
   int num_ports_ = 0;
-  route::RouteTable table_;  // pair tables within route_table_max_nodes
+  /// The router's candidate rule; coords == null routes through
+  /// router_.candidates. Only whether it is set and lowest_only are read:
+  /// allocate() takes the mask from table_'s coordinates, which also give
+  /// the escape port, so one mask per allocation serves both.
+  route::ProductiveRule rule_;
+  route::RouteTable table_;
   /// unit -> in_port, precomputed so the allocation pass never divides
   /// (unit / V was measurable on the cycle loop; V is runtime-sized).
   std::vector<std::int32_t> unit_port_;  // (P+1)*V

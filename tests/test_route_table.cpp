@@ -1,10 +1,12 @@
-// route::RouteTable against the virtual interfaces it flattens. The
-// wormhole engine, the protocol model and the escape CDG all read this one
-// table, so agreement among them no longer checks it; this file does,
-// entry by entry, from the Topology and Router answers and the coordinate
-// form of the dateline rule.
+// route::RouteTable against the virtual interfaces it flattens, and the
+// productive rule both substrates route from against the routers' virtual
+// candidates. The wormhole engine, the protocol model and the escape CDG
+// all read this one table, so agreement among them does not check it;
+// this file does, entry by entry, from the Topology and Router answers and
+// the coordinate form of the dateline rule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -43,7 +45,7 @@ bool coordinate_wrap(const topo::Topology& t, NodeId from, NodeId to) {
 TEST(RouteTable, LinksMatchTheTopology) {
   for (const char* spec : kSpecs) {
     const auto t = topo::make_topology(spec);
-    const route::RouteTable table(*t, nullptr, 0);
+    const route::RouteTable table(*t);
     for (NodeId n = 0; n < t->num_nodes(); ++n) {
       for (Port p = 0; p < t->num_ports(); ++p) {
         const auto nbr = t->neighbor(n, p);
@@ -68,7 +70,7 @@ TEST(RouteTable, TorusHasWrapLinksAndMeshHasNone) {
   // Guards the wrap comparison above against a table of all zeros.
   const auto count_wraps = [](const char* spec) {
     const auto t = topo::make_topology(spec);
-    const route::RouteTable table(*t, nullptr, 0);
+    const route::RouteTable table(*t);
     int wraps = 0;
     for (NodeId n = 0; n < t->num_nodes(); ++n) {
       for (Port p = 0; p < t->num_ports(); ++p) wraps += table.wraps(n, p);
@@ -80,48 +82,69 @@ TEST(RouteTable, TorusHasWrapLinksAndMeshHasNone) {
   EXPECT_EQ(count_wraps("hypercube:4"), 0);
 }
 
-TEST(RouteTable, PairTablesMatchTheRouters) {
+/// The candidate list a productive rule stands for: the mask's ports in
+/// ascending order, or only the lowest one.
+route::PortList rule_candidates(std::uint32_t mask, bool lowest_only) {
+  route::PortList out;
+  for (; mask != 0; mask &= mask - 1) {
+    out.push_back(Port(std::countr_zero(mask)));
+    if (lowest_only) break;
+  }
+  return out;
+}
+
+TEST(RouteTable, ProductiveRuleMatchesTheRoutersFromEveryArrivalPort) {
+  // The substrates evaluate a router's productive rule instead of calling
+  // candidates(), from (node, dest) alone. That is sound only if the
+  // router's candidates never depend on the arrival port: check every
+  // arrival port, kLocalPort included, against both coordinate tables the
+  // substrates read (the router's own and the route table's).
   for (const char* spec : kSpecs) {
     const auto t = topo::make_topology(spec);
-    const route::DimensionOrderRouter dor(*t);
-    const auto adaptive = route::make_router("adaptive", *t);
-    const route::RouteTable table(*t, adaptive.get(), t->num_nodes());
-    ASSERT_TRUE(table.has_escape_ports()) << spec;
-    ASSERT_TRUE(table.has_candidate_masks()) << spec;
-    for (NodeId n = 0; n < t->num_nodes(); ++n) {
-      for (NodeId d = 0; d < t->num_nodes(); ++d) {
-        const std::string where = std::string(spec) + " " +
-                                  std::to_string(n) + "->" +
-                                  std::to_string(d);
-        const auto escape = dor.candidates(n, d, route::kLocalPort);
-        EXPECT_EQ(table.escape_port(n, d), escape.empty() ? -1 : escape.front())
-            << where;
-        std::uint32_t expected = 0;
-        for (const Port p : adaptive->candidates(n, d, route::kLocalPort)) {
-          expected |= 1u << unsigned(p);
+    const route::RouteTable table(*t);
+    for (const char* name : {"dor", "adaptive", "adaptive-misroute"}) {
+      const auto router = route::make_router(name, *t);
+      const route::ProductiveRule rule = router->productive_rule();
+      ASSERT_NE(rule.coords, nullptr) << spec << " " << name;
+      EXPECT_EQ(rule.lowest_only, std::string(name) == "dor") << name;
+      for (NodeId n = 0; n < t->num_nodes(); ++n) {
+        for (NodeId d = 0; d < t->num_nodes(); ++d) {
+          const std::uint32_t mask =
+              route::productive_mask(table.coords(), n, d);
+          ASSERT_EQ(route::productive_mask(*rule.coords, n, d), mask);
+          const route::PortList expected =
+              rule_candidates(mask, rule.lowest_only);
+          for (Port a = route::kLocalPort; a < t->num_ports(); ++a) {
+            EXPECT_EQ(router->candidates(n, d, a), expected)
+                << spec << " " << name << " " << n << "->" << d
+                << " arrived on " << a;
+          }
         }
-        EXPECT_EQ(table.candidate_mask(n, d), expected) << where;
       }
     }
   }
 }
 
-TEST(RouteTable, PairTablesFollowTheNodeBudget) {
-  const auto t = topo::make_topology("mesh:4x4");
-  const auto adaptive = route::make_router("adaptive", *t);
-  const route::RouteTable none(*t, adaptive.get(), 0);
-  EXPECT_FALSE(none.has_escape_ports());
-  EXPECT_FALSE(none.has_candidate_masks());
-  const route::RouteTable under(*t, adaptive.get(), t->num_nodes() - 1);
-  EXPECT_FALSE(under.has_escape_ports());
-  const route::RouteTable full(*t, adaptive.get(), t->num_nodes());
-  EXPECT_TRUE(full.has_escape_ports());
-  EXPECT_TRUE(full.has_candidate_masks());
-  // Without a router (or with one whose candidates depend on the arrival
-  // port) only the escape ports are built.
-  const route::RouteTable escape_only(*t, nullptr, t->num_nodes());
-  EXPECT_TRUE(escape_only.has_escape_ports());
-  EXPECT_FALSE(escape_only.has_candidate_masks());
+TEST(RouteTable, EscapePortIsTheDimensionOrderHop) {
+  for (const char* spec : kSpecs) {
+    const auto t = topo::make_topology(spec);
+    const route::DimensionOrderRouter dor(*t);
+    const route::RouteTable table(*t);
+    for (NodeId n = 0; n < t->num_nodes(); ++n) {
+      for (NodeId d = 0; d < t->num_nodes(); ++d) {
+        const std::string where = std::string(spec) + " " +
+                                  std::to_string(n) + "->" +
+                                  std::to_string(d);
+        if (n == d) {
+          EXPECT_EQ(table.escape_port(n, d), -1) << where;
+          continue;
+        }
+        EXPECT_EQ(table.escape_port(n, d),
+                  dor.candidates(n, d, route::kLocalPort).front())
+            << where;
+      }
+    }
+  }
 }
 
 TEST(RouteTable, ClusterPortLookupMatchesTheTopology) {
@@ -131,7 +154,6 @@ TEST(RouteTable, ClusterPortLookupMatchesTheTopology) {
     const cluster::ClusterNetwork net(config);
     const topo::Topology& t = net.topology();
     const route::RouteTable& table = net.route_table();
-    EXPECT_FALSE(table.has_escape_ports()) << spec;  // link part only
     for (NodeId n = 0; n < t.num_nodes(); ++n) {
       EXPECT_EQ(table.port_to(n, n), -1) << spec;
       for (const NodeId m : t.neighbors(n)) {

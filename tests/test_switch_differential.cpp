@@ -98,7 +98,7 @@ class Fabric {
   Fabric(const Load& load, const std::vector<Injection>& schedule)
       : topo_(topo::make_topology(load.topology)),
         router_(route::make_router(load.router, *topo_)),
-        routes_(*topo_, nullptr, 0),
+        routes_(*topo_),
         links_(*this),
         schedule_(schedule) {
     outcome_.delivered_at.assign(schedule.size(), kDropped);

@@ -63,7 +63,7 @@ TEST_P(SwitchSelection, MatchesRouterSelectOutput) {
   const std::string name = GetParam().router;
   const auto topo = topo::make_topology(GetParam().topology);
   const auto router = route::make_router(name, *topo);
-  const route::RouteTable routes(*topo, nullptr, 0);
+  const route::RouteTable routes(*topo);
   const topo::CoordTable coords(*topo);
   netsim::Rng rng(0x5e1ec7);
   // What the trials exercised, so a cell that never ties, never blocks or

@@ -374,12 +374,13 @@ TEST(Wormhole, InterleavedFlowsDoNotCorruptPackets) {
   EXPECT_EQ(correct, 100);
 }
 
-// -- route-table byte-identity ---------------------------------------------
-// The precomputed tables (escape next hop, adaptive candidate bitmasks,
-// neighbor/wrap caches) are an optimization only: every routing decision,
-// and therefore every delivered byte, must match the virtual-dispatch
-// reference path exactly. Full per-packet evidence: delivery order, hop
-// count, delivery cycle, final marking field, and the complete node trace.
+// -- productive-rule byte-identity ------------------------------------------
+// Evaluating a router's productive rule in the engine (and the route
+// table's neighbor/wrap caches) is an optimization only: every routing
+// decision, and therefore every delivered byte, must match the
+// virtual-dispatch reference path exactly. Full per-packet evidence:
+// delivery order, hop count, delivery cycle, final marking field, and the
+// complete node trace.
 
 struct DeliveryEvidence {
   NodeId at;
@@ -392,6 +393,31 @@ struct DeliveryEvidence {
   bool operator==(const DeliveryEvidence&) const = default;
 };
 
+/// The reference path: forwards everything the network asks a router for
+/// but keeps the default empty productive_rule(), so the network calls
+/// candidates() through the virtual interface at every allocation.
+class VirtualOnlyRouter final : public route::Router {
+ public:
+  explicit VirtualOnlyRouter(const route::Router& inner)
+      : Router(inner.topology()), inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool is_deterministic() const noexcept override {
+    return inner_.is_deterministic();
+  }
+  route::PortList candidates(NodeId current, NodeId dest,
+                             Port arrived_on) const override {
+    return inner_.candidates(current, dest, arrived_on);
+  }
+  route::PortList fallback_candidates(NodeId current, NodeId dest,
+                                      Port arrived_on) const override {
+    return inner_.fallback_candidates(current, dest, arrived_on);
+  }
+
+ private:
+  const route::Router& inner_;
+};
+
 /// Uniform load: each cycle every node injects with probability `rate`
 /// (to a uniformly drawn other node) for `cycles` cycles. Zero cycles
 /// means the burst instead: 400 random pairs injected before cycle 0.
@@ -401,18 +427,21 @@ struct Load {
   std::uint32_t payload = 60;
 };
 
+/// Runs `load` on `spec` with DDPM marking and path tracing; `use_tables`
+/// false routes through VirtualOnlyRouter, the virtual reference path.
 std::vector<DeliveryEvidence> run_traced_scenario(
     const char* spec, const char* router_name, bool use_tables,
     std::string* telemetry_csv = nullptr, int adaptive_vcs = 1,
     Load load = {}) {
   const auto topo = topo::make_topology(spec);
-  const auto router = route::make_router(router_name, *topo);
+  const auto productive = route::make_router(router_name, *topo);
+  const VirtualOnlyRouter reference(*productive);
+  const route::Router& router =
+      use_tables ? *productive : static_cast<const route::Router&>(reference);
   mark::DdpmScheme scheme(*topo);
   WormholeConfig config;
   config.adaptive_vcs = adaptive_vcs;
-  if (!use_tables) config.route_table_max_nodes = 0;  // virtual path
-  WormholeNetwork net(*topo, *router, &scheme, config);
-  EXPECT_EQ(net.using_route_tables(), use_tables);
+  WormholeNetwork net(*topo, router, &scheme, config);
   telemetry::Registry registry;
   if (telemetry_csv != nullptr) net.bind_telemetry(&registry);
   std::vector<DeliveryEvidence> evidence;
@@ -571,6 +600,15 @@ TEST(Wormhole, RouteTablesAreByteIdenticalToVirtualPath) {
   }
 }
 
+TEST(Wormhole, ProductiveRuleAboveFourThousandNodesMatchesVirtualPath) {
+  // mesh:65x64 has 4,160 nodes, more than the 4,096 above which per-pair
+  // route tables were once skipped; the productive rule holds at any size.
+  const auto fast = run_traced_scenario("mesh:65x64", "adaptive", true);
+  const auto reference = run_traced_scenario("mesh:65x64", "adaptive", false);
+  ASSERT_EQ(fast.size(), 400u);
+  EXPECT_TRUE(fast == reference);
+}
+
 TEST(Wormhole, RejectsUnitCountBeyondTheMaskWidth) {
   // (P+1)*V input units per node must fit the 64-bit per-node masks; an
   // adaptive_vcs burst past that is a configuration error, not a fallback.
@@ -652,23 +690,9 @@ TEST(Wormhole, RejectsTheRemovedObjectGraphEngine) {
                std::invalid_argument);
 }
 
-TEST(Wormhole, RouteTablesRespectNodeBudget) {
-  // Over budget -> the network must fall back to the virtual path (and
-  // still work) rather than build O(N^2) tables.
-  const auto topo = topo::make_topology("mesh:4x4");
-  const auto router = route::make_router("adaptive", *topo);
-  WormholeConfig config;
-  config.route_table_max_nodes = 0;  // below the 16 nodes of mesh:4x4
-  WormholeNetwork net(*topo, *router, nullptr, config);
-  EXPECT_FALSE(net.using_route_tables());
-  net.inject(make_packet(*topo, 0, 15), 0);
-  ASSERT_TRUE(net.drain(10000));
-  EXPECT_EQ(net.delivered(), 1u);
-}
-
 TEST(Wormhole, RejectsDisabledRouteTablesFlag) {
-  // The virtual reference path is route_table_max_nodes = 0; the old
-  // on/off toggle is no longer a second way to ask for it.
+  // The network always routes from its route table; the old on/off toggle
+  // is rejected rather than ignored.
   const auto topo = topo::make_topology("mesh:4x4");
   const auto router = route::make_router("adaptive", *topo);
   WormholeConfig config;
