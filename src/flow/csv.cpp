@@ -78,7 +78,7 @@ bool parse_csv_line(std::string_view line, FlowRecord& out) {
       !parse_number(fields[3], r.packets) ||
       !parse_number(fields[4], r.first_ts) ||
       !parse_number(fields[5], r.last_ts) || !parse_number(fields[6], proto) ||
-      proto > 255 || fields[7].empty()) {
+      r.packets == 0 || proto > 255 || fields[7].empty()) {
     return false;
   }
   r.proto = static_cast<std::uint8_t>(proto);

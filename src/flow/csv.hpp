@@ -11,9 +11,9 @@
 // records byte-identically (tests/test_flow.cpp pins this).
 //
 // Malformed input never throws mid-stream: a line that does not parse
-// (wrong field count, non-numeric field, overflow, trailing garbage) is
-// counted in CsvStats::malformed and skipped, because real capture files
-// contain truncated tails and corrupt lines. Out-of-order timestamps are
+// (wrong field count, non-numeric field, overflow, trailing garbage, a flow
+// of zero packets) is counted in CsvStats::malformed and skipped, because
+// real capture files contain truncated tails and corrupt lines. Out-of-order timestamps are
 // legal (captures interleave exporters) but counted, since downstream
 // windowing folds stragglers into the current window.
 //

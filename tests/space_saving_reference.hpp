@@ -56,6 +56,12 @@ class SpaceSavingTopK {
     return items;
   }
 
+  /// The first entry of top(1); a zero-count Item while empty.
+  Item top1() const {
+    const std::vector<Item> best = top(1);
+    return best.empty() ? Item{} : best[0];
+  }
+
   std::uint64_t estimate(std::uint32_t key) const {
     for (const Item& it : heap_) {
       if (it.key == key) return it.count;
@@ -69,6 +75,12 @@ class SpaceSavingTopK {
   }
 
   std::uint64_t total() const { return total_; }
+  std::size_t size() const { return heap_.size(); }
+
+  void clear() {
+    heap_.clear();
+    total_ = 0;
+  }
 
  private:
   static constexpr std::uint32_t kArity = 4;

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "flow/csv.hpp"
 #include "flow/record.hpp"
@@ -122,6 +123,28 @@ TEST(CsvParse, RejectsObviousGarbage) {
   EXPECT_FALSE(parse_csv_line("1.5,2,3,4,5,6,17,BENIGN", r));
   EXPECT_FALSE(parse_csv_line("99999999999,2,3,4,5,6,17,BENIGN", r));  // u32 overflow
   EXPECT_TRUE(parse_csv_line("1,2,3,4,5,6,17,BENIGN\r", r));
+}
+
+TEST(CsvParse, ZeroPacketFlowIsMalformed) {
+  // A flow of no packets carries no weight, yet fed to a full Space-Saving
+  // summary it would still evict a monitored key.
+  FlowRecord r;
+  EXPECT_FALSE(parse_csv_line("1,2,0,0,5,6,17,BENIGN", r));
+  EXPECT_FALSE(parse_csv_line("1,2,64,0,5,6,17,DDoS", r));
+  EXPECT_TRUE(parse_csv_line("1,2,64,1,5,6,17,BENIGN", r));
+  EXPECT_EQ(r.packets, 1u);
+  std::ostringstream os;
+  os << kCsvHeader << "\n";
+  os << "1,2,64,1,100,100,17,BENIGN\n";
+  os << "3,2,0,0,200,200,17,DDoS\n";
+  os << "4,2,64,1,300,300,17,BENIGN\n";
+  std::istringstream is(os.str());
+  std::vector<std::uint32_t> sources;
+  const CsvStats stats =
+      read_csv(is, [&](const FlowRecord& rec) { sources.push_back(rec.src); });
+  EXPECT_EQ(stats.records, 2u);
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(sources, (std::vector<std::uint32_t>{1, 4}));
 }
 
 TEST(CsvParse, QuotedFieldsWithCommasAndEscapedQuotes) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -220,6 +221,7 @@ enum class SsStream : std::uint8_t {
   kAllTie,
   kWeighted,
   kLongRun,
+  kWeightsTo2To32,
 };
 
 struct Offer {
@@ -253,6 +255,16 @@ std::vector<Offer> ss_stream(SsStream kind, std::size_t n,
         out.push_back({std::uint32_t(u * u * 3.0 * capacity), w});
         break;
       }
+      case SsStream::kWeightsTo2To32: {
+        // The widest packet counts a flow record carries, and 2^32 itself.
+        const std::uint64_t pick = rng.next_below(4);
+        const std::uint64_t w = pick == 0   ? (std::uint64_t(1) << 32)
+                                : pick == 1 ? (std::uint64_t(1) << 32) - 1
+                                : pick == 2 ? 1
+                                            : 1 + rng.next_below(1ULL << 32);
+        out.push_back({std::uint32_t(u * 3.0 * capacity), w});
+        break;
+      }
       case SsStream::kLongRun: {
         // Runs of one key, as a flood stages them: most runs are the hot
         // key, the rest fresh keys that evict.
@@ -280,31 +292,55 @@ void expect_same_summary(const reference::SpaceSavingTopK& want,
     ASSERT_EQ(a[i].count, b[i].count) << where << " rank " << i;
     ASSERT_EQ(a[i].error, b[i].error) << where << " rank " << i;
   }
+  const SpaceSavingTopK::Item want1 = want.top1();
+  const SpaceSavingTopK::Item got1 = got.top1();
+  ASSERT_EQ(want1.key, got1.key) << where;
+  ASSERT_EQ(want1.count, got1.count) << where;
+  ASSERT_EQ(want1.error, got1.error) << where;
+  ASSERT_EQ(want.size(), got.size()) << where;
   ASSERT_EQ(want.min_count(), got.min_count()) << where;
   ASSERT_EQ(want.total(), got.total()) << where;
   ASSERT_EQ(want.estimate(key), got.estimate(key)) << where;
   ASSERT_EQ(want.estimate(key + 1), got.estimate(key + 1)) << where;
 }
 
-constexpr SsStream kSsStreams[] = {SsStream::kSkewed, SsStream::kFlat,
-                                   SsStream::kAllTie, SsStream::kWeighted,
-                                   SsStream::kLongRun};
+/// Feeds `stream` to both summaries, comparing them after every offer.
+void expect_same_after_every_offer(reference::SpaceSavingTopK& want,
+                                   SpaceSavingTopK& got,
+                                   const std::vector<Offer>& stream,
+                                   const std::string& where) {
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    want.offer(stream[i].key, stream[i].weight);
+    got.offer(stream[i].key, stream[i].weight);
+    ASSERT_NO_FATAL_FAILURE(expect_same_summary(
+        want, got, stream[i].key, where + " offer " + std::to_string(i)));
+  }
+}
+
+constexpr SsStream kSsStreams[] = {
+    SsStream::kSkewed,   SsStream::kFlat,    SsStream::kAllTie,
+    SsStream::kWeighted, SsStream::kLongRun, SsStream::kWeightsTo2To32};
+
+/// Capacities 1 - 70 and 128. The last heap family is partial unless the
+/// capacity is 4k + 1, so a full summary's sink meets the positions past
+/// size() at every family shape.
+std::vector<std::uint32_t> oracle_capacities() {
+  std::vector<std::uint32_t> caps;
+  for (std::uint32_t c = 1; c <= 70; ++c) caps.push_back(c);
+  caps.push_back(128);
+  return caps;
+}
 
 TEST(SpaceSavingOracle, EveryOfferMatchesTheReferenceHeap) {
   for (const SsStream kind : kSsStreams) {
-    for (std::uint32_t capacity = 1; capacity <= 70; ++capacity) {
+    for (const std::uint32_t capacity : oracle_capacities()) {
       reference::SpaceSavingTopK want(capacity);
       SpaceSavingTopK got(capacity, 0xfeedULL + capacity);
-      const std::vector<Offer> stream =
-          ss_stream(kind, 600, capacity, 31 * capacity + std::uint64_t(kind));
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        want.offer(stream[i].key, stream[i].weight);
-        got.offer(stream[i].key, stream[i].weight);
-        ASSERT_NO_FATAL_FAILURE(expect_same_summary(
-            want, got, stream[i].key,
-            "stream " + std::to_string(int(kind)) + " cap " +
-                std::to_string(capacity) + " offer " + std::to_string(i)));
-      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_after_every_offer(
+          want, got,
+          ss_stream(kind, 600, capacity, 31 * capacity + std::uint64_t(kind)),
+          "stream " + std::to_string(int(kind)) + " cap " +
+              std::to_string(capacity)));
     }
   }
 }
@@ -334,6 +370,111 @@ TEST(SpaceSavingOracle, OfferRunsMatchesOneOfferPerEntry) {
       }
     }
   }
+}
+
+TEST(SpaceSavingOracle, ClearThenReuse) {
+  // Clears when empty, part-full and full, then refills: a cleared summary
+  // must behave as a fresh one, whatever positions and slots it had used.
+  // After each clear, a few keys climb past every count the summary held
+  // before, so a stale count left past size() would draw the sink.
+  for (const std::uint32_t capacity : {1u, 4u, 5u, 17u, 64u}) {
+    reference::SpaceSavingTopK want(capacity);
+    SpaceSavingTopK got(capacity, 0xc1eaULL + capacity);
+    const std::string where = "cap " + std::to_string(capacity);
+    std::vector<Offer> climb;
+    for (std::uint32_t i = 0; i < 40; ++i) {
+      climb.push_back({i % (capacity / 2 + 1), std::uint64_t(1) << 46});
+    }
+    for (const SsStream kind : kSsStreams) {
+      for (const std::size_t fill :
+           {std::size_t{0}, std::size_t{capacity / 2},
+            std::size_t{capacity * 10}}) {
+        const std::string phase = where + " stream " +
+                                  std::to_string(int(kind)) + " fill " +
+                                  std::to_string(fill);
+        ASSERT_NO_FATAL_FAILURE(expect_same_after_every_offer(
+            want, got, ss_stream(kind, fill, capacity, fill + 5), phase));
+        want.clear();
+        got.clear();
+        ASSERT_NO_FATAL_FAILURE(expect_same_summary(want, got, 0, phase));
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_after_every_offer(want, got, climb, phase + " climb"));
+        want.clear();
+        got.clear();
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_after_every_offer(
+        want, got, ss_stream(SsStream::kSkewed, 800, capacity, 9),
+        where + " after the last clear"));
+  }
+}
+
+/// `count` keys whose probing-table home slot is `slot`. Mirrors the
+/// summary's home(): the low bits of mix64(seed ^ key), masked to its
+/// table of next_pow2(max(4 * capacity, 8)) slots.
+std::vector<std::uint32_t> keys_homed_at(std::uint64_t seed,
+                                         std::uint32_t capacity,
+                                         std::uint32_t slot, std::size_t count,
+                                         std::uint32_t from) {
+  const std::uint32_t mask = next_pow2(std::max(capacity * 4, 8u)) - 1;
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t key = from; keys.size() < count; ++key) {
+    if ((std::uint32_t(mix64(seed ^ key)) & mask) == (slot & mask)) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+TEST(SpaceSavingOracle, KeysSharingOneProbeCluster) {
+  // Every key homes to one of a few adjacent slots, so lookups walk one
+  // long probe chain and each eviction's backward shift moves keys
+  // between homes. The run around the table's last slot wraps to slot 0.
+  for (const std::uint32_t capacity : {2u, 8u, 64u}) {
+    const std::uint64_t seed = 0x5eedULL + capacity;
+    const std::uint32_t table = next_pow2(std::max(capacity * 4, 8u));
+    for (const std::uint32_t first_home : {5u, table - 2}) {
+      std::vector<std::uint32_t> keys;
+      for (std::uint32_t h = first_home; h < first_home + 3; ++h) {
+        const std::vector<std::uint32_t> at =
+            keys_homed_at(seed, capacity, h, capacity + 2, 1000 * h);
+        keys.insert(keys.end(), at.begin(), at.end());
+      }
+      netsim::Rng rng(capacity + first_home);
+      std::vector<Offer> stream;
+      for (std::size_t i = 0; i < 3000; ++i) {
+        // Skewed over the clustered keys: hits and evictions interleave.
+        const double u = rng.next_double();
+        stream.push_back({keys[std::size_t(u * u * double(keys.size()))],
+                          1 + rng.next_below(3)});
+      }
+      reference::SpaceSavingTopK want(capacity);
+      SpaceSavingTopK got(capacity, seed);
+      ASSERT_NO_FATAL_FAILURE(expect_same_after_every_offer(
+          want, got, stream,
+          "cap " + std::to_string(capacity) + " homes from " +
+              std::to_string(first_home)));
+    }
+  }
+}
+
+TEST(SpaceSavingOracle, FloodOfDistinctSources) {
+  // The shape the flow analyzer's source summaries see under a spoofed
+  // flood: 120k distinct keys, each offered once, so nearly every offer
+  // evicts the root, with a few heavy benign keys between them.
+  constexpr std::uint32_t kCapacity = 64;
+  netsim::Rng rng(0xf100d);
+  std::vector<Offer> stream;
+  for (std::uint32_t i = 0; i < 120'000; ++i) {
+    stream.push_back({0x1'0000u + i, 1 + rng.next_below(3)});
+    if (rng.next_bool(0.05)) {
+      stream.push_back({std::uint32_t(rng.next_below(8)), 1});
+    }
+  }
+  reference::SpaceSavingTopK want(kCapacity);
+  SpaceSavingTopK got(kCapacity, 0xf100dULL);
+  ASSERT_NO_FATAL_FAILURE(
+      expect_same_after_every_offer(want, got, stream, "flood"));
 }
 
 TEST(EntropySketch, MatchesExactEntropyOnSmallAlphabet) {

@@ -93,13 +93,14 @@ TEST(StreamReportGolden, FloodPulseChurnDigestsAtJobsOneAndFour) {
 }
 
 TEST(StreamReportGolden, MemoryBytesIsTheSketchGeometry) {
-  // Per shard, three Space-Saving summaries of 64 slots (24 B) with a
-  // 256-slot index (8 B): 3 * (1536 + 2048) B. Plus the 4096-bucket
-  // sliding-entropy sketch: 32 KiB.
+  // Per shard, three Space-Saving summaries of 64 slots: 68 padded counts
+  // (8 B: 3 lead slots, the root and 16 families of 4), a 256-slot index
+  // (8 B) and 64 records (16 B), 3 * (544 + 2048 + 1024) B. Plus the
+  // 4096-bucket sliding-entropy sketch: 32 KiB.
   const FlowAnalyzerConfig config;
-  EXPECT_EQ(FlowStreamAnalyzer(config).memory_bytes(), 204'800u);
+  EXPECT_EQ(FlowStreamAnalyzer(config).memory_bytes(), 206'336u);
   const TraceGolden flood{flow::AttackShape::kFlood, 64, 16, 0};
-  EXPECT_EQ(replay_shape(flood, 1).memory_bytes, 204'800u);
+  EXPECT_EQ(replay_shape(flood, 1).memory_bytes, 206'336u);
 }
 
 // --- Gaps of empty windows ---------------------------------------------------

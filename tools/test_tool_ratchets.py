@@ -5,8 +5,9 @@
 Covers tools/ddpm_bench_diff.py (relative tolerance, direction-per-unit,
 missing metrics, the absolute floors mechanism and its --floor override),
 tools/ddpm_verify_diff.py (verdict projection, drift detection,
-pass=false gating, --update regeneration), tools/ddpm_analyze.py's CLI
-and ddpm_lint.py's series-documented rule. Everything runs the real
+pass=false gating, --update regeneration), tools/ddpm_analyze.py's CLI,
+ddpm_lint.py's series-documented rule and tools/perf_ab.py (against stub
+perfbench/run.py scripts, so nothing is built). Everything runs the real
 scripts as subprocesses against temp files, so the exit codes tested
 here are exactly what CI sees.
 
@@ -25,6 +26,7 @@ TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 BENCH_DIFF = os.path.join(TOOLS_DIR, "ddpm_bench_diff.py")
 VERIFY_DIFF = os.path.join(TOOLS_DIR, "ddpm_verify_diff.py")
 LINT = os.path.join(TOOLS_DIR, "ddpm_lint.py")
+PERF_AB = os.path.join(TOOLS_DIR, "perf_ab.py")
 
 sys.path.insert(0, TOOLS_DIR)
 import ddpm_lint  # noqa: E402  (REQUIRED_DOCS)
@@ -493,6 +495,145 @@ class LintSeriesDocumentedTest(unittest.TestCase):
         self.catalogue("x.one", "x.two")
         p = run(LINT, self.tmp.name)
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+
+
+# A stand-in for perfbench/run.py: logs its side and arguments, then prints
+# the next work_per_s value of its checkout's stub.json and a result line.
+STUB_RUN = """\
+import json, os, sys
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(root, "stub.json")) as fh:
+    cfg = json.load(fh)
+log = os.environ["PERF_AB_STUB_LOG"]
+with open(log, "a") as fh:
+    fh.write(cfg["side"] + " " + " ".join(sys.argv[1:]) + "\\n")
+with open(log) as fh:
+    n = sum(1 for line in fh if line.startswith(cfg["side"] + " ")) - 1
+if cfg.get("exit", 0):
+    print("build failed", file=sys.stderr)
+    sys.exit(cfg["exit"])
+print("digest: " + cfg.get("digest", "00ff"))
+work = cfg["work"][n % len(cfg["work"])]
+print(json.dumps({"correct": cfg.get("correct", True), "attempted": 3,
+                  "failed": cfg.get("failed", 0),
+                  "metrics": {"setup_s": {"value": cfg.get("setup", 0.5),
+                                          "unit": "s"},
+                              "work_per_s": {"value": work,
+                                             "unit": "items/s"}}}))
+"""
+
+
+class PerfAbTest(unittest.TestCase):
+    def checkout(self, side, **cfg):
+        root = os.path.join(self.tmp.name, side)
+        os.makedirs(os.path.join(root, "perfbench"))
+        with open(os.path.join(root, "perfbench", "run.py"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(STUB_RUN)
+        write_json(root, "stub.json", {"side": side, **cfg})
+        write_json(root, "BENCHMARK.json", {"end_to_end": [
+            {"name": "setup_s", "unit": "s", "better": "lower"},
+            {"name": "work_per_s", "unit": "items/s", "better": "higher"},
+        ]})
+        return root
+
+    def ab(self, parent, change, *extra, pairs="4"):
+        env = dict(os.environ, PERF_AB_STUB_LOG=self.log)
+        return subprocess.run(
+            [sys.executable, PERF_AB, parent, change, "--workload", "w1",
+             "--seed", "7", "--seconds", "0.5", "--pairs", pairs, *extra],
+            capture_output=True, text=True, env=env)
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+        self.log = os.path.join(self.tmp.name, "runs.log")
+
+    def test_alternates_sides_and_reports_medians(self):
+        parent = self.checkout("parent", work=[100.0, 110.0, 90.0, 100.0])
+        change = self.checkout("change", work=[120.0, 130.0, 95.0, 125.0])
+        p = self.ab(parent, change)
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        with open(self.log, encoding="utf-8") as fh:
+            runs = fh.read().splitlines()
+        self.assertEqual([r.split()[0] for r in runs],
+                         ["parent", "change", "change", "parent",
+                          "parent", "change", "change", "parent"])
+        self.assertEqual(runs[0].split()[1:],
+                         ["--workload", "w1", "--seed", "7", "--seconds",
+                          "0.5", "--trace", "0"])
+        row = next(l for l in p.stdout.splitlines()
+                   if l.startswith("work_per_s"))
+        # Medians 100 and 122.5; the change won every pair, and the gap
+        # exceeds the parent's IQR (97.5 .. 102.5).
+        self.assertIn("100 [97.5, 102.5]", row)
+        self.assertIn("122.5 [113.8, 126.2]", row)
+        self.assertIn("1.225", row)
+        self.assertIn("4/4", row)
+        self.assertTrue(row.endswith("yes"), row)
+        setup = next(l for l in p.stdout.splitlines()
+                     if l.startswith("setup_s"))
+        self.assertIn("0/4", setup)  # equal values win no pair
+        self.assertIn("parent digest: 00ff", p.stdout)
+
+    def test_wins_follow_each_metrics_direction(self):
+        parent = self.checkout("parent", work=[100.0], setup=0.5)
+        change = self.checkout("change", work=[90.0], setup=0.4)
+        p = self.ab(parent, change, pairs="2")
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        rows = {l.split()[0]: l for l in p.stdout.splitlines()[2:]}
+        self.assertIn("0.900", rows["work_per_s"])
+        self.assertIn("0/2", rows["work_per_s"])
+        self.assertIn("0.800", rows["setup_s"])
+        self.assertIn("2/2", rows["setup_s"])
+
+    def test_failed_run_rejects(self):
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", work=[100.0], exit=3)
+        p = self.ab(parent, change)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("change: run.py exited 3", p.stderr)
+        self.assertIn("build failed", p.stderr)
+
+    def test_incorrect_run_rejects(self):
+        parent = self.checkout("parent", work=[100.0], correct=False)
+        change = self.checkout("change", work=[100.0])
+        p = self.ab(parent, change)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("correct: false", p.stderr)
+
+    def test_failed_operations_reject(self):
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", work=[100.0], failed=2)
+        p = self.ab(parent, change)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("failed: 2", p.stderr)
+
+    def test_moved_digest_rejects_unless_allowed(self):
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", work=[100.0], digest="beef")
+        p = self.ab(parent, change)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("differ", p.stderr)
+        os.remove(self.log)
+        p = self.ab(parent, change, "--allow-digest-change")
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("change digest: beef", p.stdout)
+
+    def test_allow_digest_change_still_rejects_incorrect_runs(self):
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", work=[100.0], digest="beef",
+                               correct=False)
+        p = self.ab(parent, change, "--allow-digest-change")
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+
+    def test_bad_arguments_are_usage_errors(self):
+        parent = self.checkout("parent", work=[100.0])
+        p = self.ab(parent, os.path.join(self.tmp.name, "nowhere"))
+        self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+        change = self.checkout("change", work=[100.0])
+        p = self.ab(parent, change, pairs="0")
+        self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
 
 
 if __name__ == "__main__":
