@@ -24,7 +24,10 @@ struct DDPM_HOT_STATE FlowRecord {
   std::uint64_t bytes = 0;          // payload volume of the flow
   netsim::SimTime first_ts = 0;     // first packet timestamp (ticks)
   netsim::SimTime last_ts = 0;      // last packet timestamp (ticks)
-  std::uint32_t packets = 0;        // packet count of the flow
+  // Packet count of the flow: at least 1 in every record streamed to
+  // FlowStreamAnalyzer::ingest, which aborts on 0 (the CSV reader rejects
+  // such lines). The default 0 marks a record not yet filled in.
+  std::uint32_t packets = 0;
   std::uint8_t proto = 17;          // IP protocol number (17 = UDP, 6 = TCP)
   bool attack = false;              // ground truth label (evaluation only)
 

@@ -5,13 +5,12 @@ namespace ddpm::netsim {
 std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t count = 0;
   for (;;) {
-    // Scoped to one event: the fired action, and whatever it captured, is
-    // destroyed before the next event runs.
-    EventWheel::Action action;
-    SimTime when = 0;
-    if (!queue_.pop_due(until, when, action)) break;
-    now_ = when;
-    action();
+    const EventWheel::Ticket due = queue_.take_due(until);
+    if (due == EventWheel::kNoTicket) break;
+    now_ = queue_.last_popped_time();
+    // Runs in the event's slot, then destroys the action (and whatever it
+    // captured) before the next event is taken.
+    queue_.fire(due);
     ++executed_;
     ++count;
     probes_.on_pop(executed_, queue_.size());
@@ -26,13 +25,11 @@ std::uint64_t Simulator::run(SimTime until) {
 }
 
 bool Simulator::step() {
-  EventWheel::Action action;
-  SimTime when = 0;
-  if (!queue_.pop_due(std::numeric_limits<SimTime>::max(), when, action)) {
-    return false;
-  }
-  now_ = when;
-  action();
+  const EventWheel::Ticket due =
+      queue_.take_due(std::numeric_limits<SimTime>::max());
+  if (due == EventWheel::kNoTicket) return false;
+  now_ = queue_.last_popped_time();
+  queue_.fire(due);
   ++executed_;
   probes_.on_pop(executed_, queue_.size());
   return true;

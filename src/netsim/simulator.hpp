@@ -7,10 +7,16 @@
 // TCP timeouts, long backoffs) overflow to its embedded 4-ary heap. Events
 // are only ever scheduled and fired — a timer that may have become moot
 // checks its state when it fires instead of being cancelled.
+//
+// schedule_in/schedule_at forward the callable to the wheel, which
+// constructs it once in a slot that never moves; run/step take the due
+// slot, run the action in place and free the slot, so an action is never
+// copied or moved between scheduling and firing.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "netsim/event_wheel.hpp"
 #include "telemetry/probes.hpp"
@@ -22,9 +28,11 @@ class Simulator {
   /// Current simulation time. Monotonically non-decreasing.
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` to fire `delay` ticks from now.
-  void schedule_in(SimTime delay, EventWheel::Action action) {
-    queue_.schedule(now_ + delay, std::move(action));
+  /// Schedules `action` (a callable InlineAction accepts, or an
+  /// EventWheel::Action rvalue) to fire `delay` ticks from now.
+  template <typename F>
+  void schedule_in(SimTime delay, F&& action) {
+    queue_.schedule(now_ + delay, std::forward<F>(action));
   }
 
   /// Schedules `action` at absolute time `when`. `when` must not be in the
@@ -32,13 +40,14 @@ class Simulator {
   /// (in scheduling order) rather than corrupting the clock. Each clamp is
   /// counted (see clamped_events()): a model that relies on the clamp is
   /// usually mis-computing timestamps, and the counter makes that visible.
-  void schedule_at(SimTime when, EventWheel::Action action) {
+  template <typename F>
+  void schedule_at(SimTime when, F&& action) {
     if (when < now_) {
       ++clamped_;
       probes_.on_clamp();
       when = now_;
     }
-    queue_.schedule(when, std::move(action));
+    queue_.schedule(when, std::forward<F>(action));
   }
 
   /// Runs until the queue drains or the clock passes `until`, whichever
@@ -63,7 +72,8 @@ class Simulator {
   /// (grow-once for steady-state workloads).
   void reserve(std::size_t n) { queue_.reserve(n); }
 
-  /// Drops all pending events; the clock is left where it is.
+  /// Drops all pending events; the clock is left where it is. An action
+  /// may call this while it fires: it finishes normally.
   void clear_pending() { queue_.clear(); }
 
   /// Attaches an event tracer: the kernel samples heap depth and executed-

@@ -97,6 +97,9 @@ std::uint32_t FlowStreamAnalyzer::shard_of(std::uint32_t key) const noexcept {
 
 void FlowStreamAnalyzer::ingest(const flow::FlowRecord& record) {
   DDPM_CHECK(!finished_, "FlowStreamAnalyzer: ingest after finish");
+  // The count is a Space-Saving weight: a zero would still evict a key.
+  DDPM_CHECK(record.packets >= 1,
+             "FlowStreamAnalyzer: FlowRecord.packets must be >= 1");
   const core::WindowIndex w = record.first_ts / config_.window;
   if (open_window_ < w) advance_to(w);
 

@@ -134,6 +134,7 @@ class FlowStreamAnalyzer {
 
   /// Feeds one record. Records are windowed by first_ts; a record older
   /// than the open window is folded into the open window (late arrival).
+  /// `record.packets` must be >= 1 (checked, fatal).
   void ingest(const flow::FlowRecord& record);
 
   /// Flushes the open window and returns the final report. Call once.

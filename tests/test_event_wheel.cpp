@@ -121,27 +121,27 @@ TEST(EventWheel, NextTimeReportsEarliest) {
   EXPECT_EQ(q.next_time(), 5000u);
 }
 
-TEST(EventWheel, PopDueStopsAtTheHorizonOnBothPaths) {
+TEST(EventWheel, TakeDueStopsAtTheHorizonOnBothPaths) {
   EventWheel q;
   std::vector<int> fired;
   q.schedule(5000, [&fired] { fired.push_back(2); });  // overflow heap
   q.schedule(40, [&fired] { fired.push_back(1); });    // bucket
-  SimTime when = 0;
-  EventWheel::Action action;
-  EXPECT_FALSE(q.pop_due(39, when, action));  // declining changes nothing
-  EXPECT_FALSE(action);
+  EXPECT_EQ(q.take_due(39), EventWheel::kNoTicket);  // declining changes nothing
   EXPECT_EQ(q.size(), 2u);
-  ASSERT_TRUE(q.pop_due(40, when, action));  // due exactly at the horizon
-  EXPECT_EQ(when, 40u);
-  action();
-  action.reset();
-  EXPECT_FALSE(q.pop_due(4999, when, action));
+  EXPECT_EQ(q.last_popped_time(), 0u);
+  EventWheel::Ticket due = q.take_due(40);  // due exactly at the horizon
+  ASSERT_NE(due, EventWheel::kNoTicket);
+  EXPECT_EQ(q.last_popped_time(), 40u);
+  EXPECT_EQ(q.size(), 1u);  // taken, no longer pending
+  q.fire(due);
+  EXPECT_EQ(q.take_due(4999), EventWheel::kNoTicket);
   EXPECT_EQ(q.next_time(), 5000u);
-  ASSERT_TRUE(q.pop_due(std::numeric_limits<SimTime>::max(), when, action));
-  EXPECT_EQ(when, 5000u);
-  action();
-  action.reset();
-  EXPECT_FALSE(q.pop_due(std::numeric_limits<SimTime>::max(), when, action));
+  due = q.take_due(std::numeric_limits<SimTime>::max());
+  ASSERT_NE(due, EventWheel::kNoTicket);
+  EXPECT_EQ(q.last_popped_time(), 5000u);
+  q.fire(due);
+  EXPECT_EQ(q.take_due(std::numeric_limits<SimTime>::max()),
+            EventWheel::kNoTicket);
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
   EXPECT_EQ(q.last_popped_time(), 5000u);
 }

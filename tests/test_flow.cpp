@@ -7,6 +7,7 @@
 #include "flow/csv.hpp"
 #include "flow/record.hpp"
 #include "flow/trace_gen.hpp"
+#include "stream/flow_analyzer.hpp"
 
 namespace ddpm::flow {
 namespace {
@@ -145,6 +146,17 @@ TEST(CsvParse, ZeroPacketFlowIsMalformed) {
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.malformed, 1u);
   EXPECT_EQ(sources, (std::vector<std::uint32_t>{1, 4}));
+}
+
+TEST(FlowRecordDeathTest, ZeroPacketRecordIsRejectedAtIngest) {
+  // A record built in code skips the CSV reader's check above; the
+  // analyzer must not stage its zero count as a Space-Saving weight.
+  stream::FlowStreamAnalyzer analyzer(stream::FlowAnalyzerConfig{});
+  FlowRecord r = sample_record();
+  analyzer.ingest(r);  // a filled-in record is fine
+  r.packets = 0;
+  EXPECT_DEATH(analyzer.ingest(r),
+               "DDPM_CHECK failure:.*FlowRecord.packets must be >= 1");
 }
 
 TEST(CsvParse, QuotedFieldsWithCommasAndEscapedQuotes) {

@@ -1,9 +1,11 @@
-// Zero-allocation steady-state gate for the wormhole hot loop.
+// Zero-allocation steady-state gates for the wormhole hot loop and the
+// simulation kernel.
 //
 // The static hot-path rules (tools/ddpm_analyze.py, hot-no-alloc) prove the
-// absence of allocation *lexically*; this test proves it *dynamically*: a
-// counting global operator new observes a 200-cycle steady-state window of
-// WormholeNetwork::step() on a loaded mesh:8x8 and must see zero calls.
+// absence of allocation *lexically*; these tests prove it *dynamically*: a
+// counting global operator new observes a steady-state window — 200 cycles
+// of WormholeNetwork::step() on a loaded mesh:8x8, or over a million
+// Simulator events at the cluster cadence — and must see zero calls.
 // Frees are not counted — delivered packets may release their shared state
 // inside the window; only acquiring memory is a hot-path violation.
 #include "wormhole/wormhole.hpp"
@@ -239,3 +241,67 @@ TEST(WormholeSteadyAlloc, WheelDrivenRunMatchesDirectRun) {
 
 }  // namespace
 }  // namespace ddpm::wormhole
+
+namespace ddpm::netsim {
+namespace {
+
+/// A beyond-window timer: fires once from the overflow heap.
+struct Timer {
+  std::uint64_t* fired;
+  void operator()() const { ++*fired; }
+};
+
+/// One link of the cluster cadence: every event reschedules itself one
+/// serialization (276 ticks) or one serialization plus link latency (326
+/// ticks) later, the two delays of perfbench's wheel row, picked by a
+/// per-link xorshift so the number of events sharing an instant keeps
+/// varying (as contention makes it vary in the cluster model). Every 64th
+/// event also sets a timer 5000+ ticks out, past the 1024-tick window.
+struct LinkEvent {
+  Simulator* sim;
+  std::uint64_t* timers_fired;
+  std::uint64_t state;  // xorshift64, never zero
+
+  void operator()() const {
+    std::uint64_t x = state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    sim->schedule_in((x & 1) != 0 ? 276 : 326,
+                     LinkEvent{sim, timers_fired, x});
+    if ((x >> 1) % 64 == 0) {
+      sim->schedule_in(5000 + (x >> 7) % 997, Timer{timers_fired});
+    }
+  }
+};
+
+TEST(KernelSteadyAlloc, ScheduleAndFireAreAllocationFreeInSteadyState) {
+  Simulator sim;
+  std::uint64_t timers_fired = 0;
+  // perfbench's default wheel depth: 1024 links in flight.
+  for (std::uint64_t i = 0; i < 1024; ++i) {
+    sim.schedule_at(i % 326, LinkEvent{&sim, &timers_fired, 0x9e37 + i});
+  }
+  // Warm-up: the slab and the overflow heap's storage reach the sizes the
+  // cadence needs (1024 links plus about 300 timers pending). The number
+  // of events per instant keeps setting new highs per bucket after this,
+  // which is what a per-bucket store would have to grow for.
+  sim.run(100'000);
+  const std::uint64_t events_before = sim.events_executed();
+  const std::uint64_t timers_before = timers_fired;
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  sim.run(420'000);
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+      << "the kernel acquired memory during the steady window";
+  EXPECT_GE(sim.events_executed() - events_before, 1'000'000u);
+  EXPECT_GT(timers_fired - timers_before, 10'000u)
+      << "the window did not exercise the overflow heap";
+  EXPECT_EQ(sim.clamped_events(), 0u);
+}
+
+}  // namespace
+}  // namespace ddpm::netsim

@@ -499,6 +499,8 @@ class LintSeriesDocumentedTest(unittest.TestCase):
 
 # A stand-in for perfbench/run.py: logs its side and arguments, then prints
 # the next work_per_s value of its checkout's stub.json and a result line.
+# `work_<workload>` / `digest_<workload>` keys override `work` / `digest`
+# for one workload.
 STUB_RUN = """\
 import json, os, sys
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -512,8 +514,10 @@ with open(log) as fh:
 if cfg.get("exit", 0):
     print("build failed", file=sys.stderr)
     sys.exit(cfg["exit"])
-print("digest: " + cfg.get("digest", "00ff"))
-work = cfg["work"][n % len(cfg["work"])]
+wl = sys.argv[sys.argv.index("--workload") + 1]
+print("digest: " + cfg.get("digest_" + wl, cfg.get("digest", "00ff")))
+works = cfg.get("work_" + wl, cfg["work"])
+work = works[n % len(works)]
 print(json.dumps({"correct": cfg.get("correct", True), "attempted": 3,
                   "failed": cfg.get("failed", 0),
                   "metrics": {"setup_s": {"value": cfg.get("setup", 0.5),
@@ -537,10 +541,11 @@ class PerfAbTest(unittest.TestCase):
         ]})
         return root
 
-    def ab(self, parent, change, *extra, pairs="4"):
+    def ab(self, parent, change, *extra, pairs="4", workloads=("w1",)):
         env = dict(os.environ, PERF_AB_STUB_LOG=self.log)
+        named = [arg for w in workloads for arg in ("--workload", w)]
         return subprocess.run(
-            [sys.executable, PERF_AB, parent, change, "--workload", "w1",
+            [sys.executable, PERF_AB, parent, change, *named,
              "--seed", "7", "--seconds", "0.5", "--pairs", pairs, *extra],
             capture_output=True, text=True, env=env)
 
@@ -627,12 +632,53 @@ class PerfAbTest(unittest.TestCase):
         p = self.ab(parent, change, "--allow-digest-change")
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
 
+    def test_repeated_workload_prints_one_table_each(self):
+        # Each side's stub counts its runs across both workloads, so w1
+        # reads entries 0-1 of its list and w2 entries 2-3 of its own.
+        parent = self.checkout("parent", work=[100.0, 100.0],
+                               work_w2=[0.0, 0.0, 50.0, 70.0])
+        change = self.checkout("change", work=[200.0, 200.0],
+                               work_w2=[0.0, 0.0, 40.0, 40.0],
+                               digest_w2="0a0a")
+        p = self.ab(parent, change, "--allow-digest-change", pairs="2",
+                    workloads=("w1", "w2"))
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        with open(self.log, encoding="utf-8") as fh:
+            runs = [(r.split()[0], r.split()[2])
+                    for r in fh.read().splitlines()]
+        self.assertEqual(runs, [("parent", "w1"), ("change", "w1"),
+                                ("change", "w1"), ("parent", "w1"),
+                                ("parent", "w2"), ("change", "w2"),
+                                ("change", "w2"), ("parent", "w2")])
+        tables = p.stdout.split("\n\n")
+        self.assertEqual(len(tables), 2, p.stdout)
+        self.assertTrue(tables[0].startswith("workload w1, seed 7"))
+        self.assertTrue(tables[1].startswith("workload w2, seed 7"))
+        work = [next(l for l in t.splitlines() if l.startswith("work_per_s"))
+                for t in tables]
+        self.assertIn("2.000", work[0])
+        self.assertIn("2/2", work[0])
+        self.assertIn("60 [55, 65]", work[1])
+        self.assertIn("0/2", work[1])
+        self.assertNotIn("change digest", tables[0])
+        self.assertIn("change digest: 0a0a", tables[1])
+
+    def test_moved_digest_in_a_later_workload_rejects(self):
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", work=[100.0], digest_w2="beef")
+        p = self.ab(parent, change, pairs="2", workloads=("w1", "w2"))
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertTrue(p.stdout.startswith("workload w1"), p.stdout)
+        self.assertIn("w2 change run 1 digests", p.stderr)
+
     def test_bad_arguments_are_usage_errors(self):
         parent = self.checkout("parent", work=[100.0])
         p = self.ab(parent, os.path.join(self.tmp.name, "nowhere"))
         self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
         change = self.checkout("change", work=[100.0])
         p = self.ab(parent, change, pairs="0")
+        self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+        p = self.ab(parent, change, workloads=("w1", "w1"))
         self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
 
 
