@@ -17,24 +17,32 @@ void ComputeNode::start() {
   if (env_->benign_rate > 0.0) schedule_benign();
   const auto* a = env_->attack;
   if (a == nullptr || a->kind == attack::AttackKind::kNone) return;
+  auto onset = [this]() { schedule_attack(); };
+  static_assert(
+      netsim::InlineAction::trivially_destructible<decltype(onset)>,
+      "a fired timer must free its slot without a destroy call");
   if (a->kind == attack::AttackKind::kWorm) {
     if (is_zombie()) {
       // Patient zero: infected from the start, scans once the attack opens.
       infected_ = true;
-      env_->sim->schedule_at(a->start_time, [this]() { schedule_attack(); });
+      env_->sim->schedule_at(a->start_time, onset);
     }
   } else if (is_zombie()) {
-    env_->sim->schedule_at(a->start_time, [this]() { schedule_attack(); });
+    env_->sim->schedule_at(a->start_time, onset);
   }
 }
 
 void ComputeNode::schedule_benign() {
   const auto wait =
       netsim::SimTime(rng_.next_exponential(env_->benign_rate)) + 1;
-  env_->sim->schedule_in(wait, [this]() {
+  auto benign = [this]() {
     inject_benign();
     schedule_benign();
-  });
+  };
+  static_assert(
+      netsim::InlineAction::trivially_destructible<decltype(benign)>,
+      "a fired timer must free its slot without a destroy call");
+  env_->sim->schedule_in(wait, benign);
 }
 
 void ComputeNode::schedule_attack() {
@@ -43,7 +51,7 @@ void ComputeNode::schedule_attack() {
                                                            : a->rate_per_zombie;
   if (rate <= 0.0) return;
   const auto wait = netsim::SimTime(rng_.next_exponential(rate)) + 1;
-  env_->sim->schedule_in(wait, [this]() {
+  auto next_attack = [this]() {
     const auto* cfg = env_->attack;
     const auto now = env_->sim->now();
     if (now > cfg->stop_time) return;  // attack window closed
@@ -56,7 +64,11 @@ void ComputeNode::schedule_attack() {
     }
     if (on_phase) inject_attack();
     schedule_attack();
-  });
+  };
+  static_assert(
+      netsim::InlineAction::trivially_destructible<decltype(next_attack)>,
+      "a fired timer must free its slot without a destroy call");
+  env_->sim->schedule_in(wait, next_attack);
 }
 
 pkt::Packet ComputeNode::make_packet(NodeId dest, pkt::IpProto proto,

@@ -182,21 +182,29 @@ DDPM_HOT void Switch::start_transmission(Port port) {
     // The front is the oldest packet on the link. arrive() hands it to the
     // neighbor switch, which never pushes onto this port, so the slot stays
     // put until the pop.
-    env_->sim->schedule_in(tx_ticks + env_->link_latency, [this, port]() {
+    auto arrival = [this, port]() {
       OutputPort& p = ports_[std::size_t(port)];
       env_->arrive(std::move(p.fifo.front()), id_, p.neighbor);
       p.fifo.pop_front();
       --p.sent;
-    });
+    };
+    static_assert(
+        netsim::InlineAction::trivially_destructible<decltype(arrival)>,
+        "a fired arrival must free its slot without a destroy call");
+    env_->sim->schedule_in(tx_ticks + env_->link_latency, arrival);
   }
   // Packets still wait for the link: one wake at free_at starts the next.
   if (out.sent != out.fifo.size() && !out.wake_pending) {
     out.wake_pending = true;
-    env_->sim->schedule_at(out.free_at, [this, port]() {
+    auto wake = [this, port]() {
       OutputPort& p = ports_[std::size_t(port)];
       p.wake_pending = false;
       if (p.sent != p.fifo.size()) start_transmission(port);
-    });
+    };
+    static_assert(
+        netsim::InlineAction::trivially_destructible<decltype(wake)>,
+        "a fired wake must free its slot without a destroy call");
+    env_->sim->schedule_at(out.free_at, wake);
   }
 }
 

@@ -11,6 +11,15 @@
 //
 // DDPM_HOT            annotates a function *definition* as a hot-path
 //                     root (place it before the return type).
+// DDPM_COLD           annotates a function *definition* that steady state
+//                     never reaches: slab growth past a reservation. The
+//                     analyzer leaves it (and what only it calls) out of
+//                     the DDPM_HOT closure; the compiler keeps it out of
+//                     line and lays out its calls as unlikely. That
+//                     steady state never reaches it is checked at run time
+//                     by the zero-allocation tests
+//                     (tests/test_wormhole_steady_alloc.cpp), not
+//                     statically.
 // DDPM_HOT_STATE      annotates a struct/class whose layout is
 //                     flit-critical (per-flit or per-VC state). Every
 //                     DDPM_HOT_STATE type must carry a matching
@@ -31,12 +40,15 @@
 #if defined(__clang__)
 #define DDPM_HOT __attribute__((annotate("ddpm_hot")))
 #define DDPM_HOT_STATE __attribute__((annotate("ddpm_hot_state")))
+#define DDPM_COLD [[gnu::cold, gnu::noinline]]
 #elif defined(__GNUC__)
 #define DDPM_HOT
 #define DDPM_HOT_STATE
+#define DDPM_COLD [[gnu::cold, gnu::noinline]]
 #else
 #define DDPM_HOT
 #define DDPM_HOT_STATE
+#define DDPM_COLD
 #endif
 
 // Layout certification only binds on LP64 (the reference platform CI

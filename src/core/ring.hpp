@@ -29,6 +29,7 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "core/hot_path.hpp"
 
 namespace ddpm::core {
 
@@ -119,7 +120,7 @@ class RingBuffer {
     return idx >= capacity_ ? idx - capacity_ : idx;
   }
 
-  void grow(std::size_t target) {
+  DDPM_COLD void grow(std::size_t target) {
     T* bigger = std::allocator<T>{}.allocate(target);
     for (std::size_t i = 0; i < count_; ++i) {
       T* from = slots_ + slot(i);

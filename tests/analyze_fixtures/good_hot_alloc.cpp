@@ -1,10 +1,15 @@
 // ddpm_analyze fixture: hot-no-alloc MUST-PASS case.
 // Growth calls whose receiver is reserve()d in the same file are
 // slab-backed in steady state (the reserve-dominates heuristic), and
-// allocation in functions outside the hot closure is free to stay.
+// allocation in functions outside the hot closure is free to stay: a
+// function that is never called from hot code, and a DDPM_COLD growth
+// step that hot code calls only past its reservation.
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #define DDPM_HOT
+#define DDPM_COLD
 
 namespace fx {
 
@@ -15,9 +20,29 @@ void warm_up(std::vector<int>& xs) {
   delete scratch;
 }
 
-DDPM_HOT int hot_tick(std::vector<int>& xs) {
+struct Pool {
+  int* slots = nullptr;
+  std::size_t used = 0;
+  std::size_t capacity = 0;
+};
+
+DDPM_COLD void grow(Pool& pool) {
+  // Cold: out of the hot closure, with everything only it calls.
+  const std::size_t bigger = 2 * pool.capacity + 4;
+  int* fresh = std::allocator<int>{}.allocate(bigger);
+  for (std::size_t i = 0; i < pool.used; ++i) fresh[i] = pool.slots[i];
+  if (pool.slots != nullptr) {
+    std::allocator<int>{}.deallocate(pool.slots, pool.capacity);
+  }
+  pool.slots = fresh;
+  pool.capacity = bigger;
+}
+
+DDPM_HOT int hot_tick(std::vector<int>& xs, Pool& pool) {
   xs.reserve(16);
   xs.push_back(1);  // reserve() above dominates: no finding
+  if (pool.used == pool.capacity) grow(pool);
+  pool.slots[pool.used++] = 1;
   return int(xs.size());
 }
 

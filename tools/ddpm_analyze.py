@@ -116,7 +116,7 @@ from pathlib import Path
 
 # Bump whenever extraction or the rule passes change meaning: the facts
 # cache (--facts-cache) keys on it, so stale pickles self-invalidate.
-TOOL_VERSION = "4"
+TOOL_VERSION = "5"
 
 RULES = (
     "ordered-iteration",
@@ -191,8 +191,11 @@ TORUS_WRAP_OP_RE = re.compile(r"[\w\)\]]\s*[%/]\s*[\w\(]")
 # A function whose definition head carries DDPM_HOT is a hot-path root;
 # the rules apply to it and to its call-graph closure (simple-name edges,
 # same resolution as result_path_functions — a deliberate overapproximation:
-# a virtual callee pulls every same-named implementation in).
+# a virtual callee pulls every same-named implementation in). A definition
+# head carrying DDPM_COLD (slab growth past a reservation) is left out of
+# the closure, and so is what only it calls.
 HOT_FN_MACRO = "DDPM_HOT"
+COLD_FN_MACRO = "DDPM_COLD"
 HOT_STATE_RE = re.compile(r"\b(?:struct|class)\s+DDPM_HOT_STATE\s+([A-Za-z_]\w*)")
 HOT_LAYOUT_RE = re.compile(
     r"\bDDPM_HOT_LAYOUT\s*\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -200,6 +203,8 @@ HOT_ALLOC_RES = (
     (re.compile(r"\bnew\b"), "operator new"),
     (re.compile(r"\bmake_(?:unique|shared)\s*<"), "make_unique/make_shared"),
     (re.compile(r"\bstd\s*::\s*function\s*<"), "std::function construction"),
+    (re.compile(r"\ballocator\b[^;]*(?:\.|::)\s*allocate\s*\("),
+     "allocator allocate"),
 )
 # Container growth: receiver.method() where the receiver's declared type is
 # growth-prone and no `receiver.reserve(...)` appears anywhere in the same
@@ -327,6 +332,7 @@ class FunctionInfo:
     line: int
     calls: set = field(default_factory=set)  # simple callee names
     hot: bool = False    # definition head carries DDPM_HOT
+    cold: bool = False   # definition head carries DDPM_COLD
 
 
 @dataclass
@@ -377,6 +383,7 @@ class Facts:
             if q in self.functions:
                 self.functions[q].calls |= fn.calls
                 self.functions[q].hot = self.functions[q].hot or fn.hot
+                self.functions[q].cold = self.functions[q].cold or fn.cold
             else:
                 self.functions[q] = fn
         for n, ci in other.classes.items():
@@ -739,6 +746,8 @@ class TextualUnit:
                         fn_rec = self.functions.setdefault(qname, fn)
                         if HOT_FN_MACRO in words:
                             fn_rec.hot = True
+                        if COLD_FN_MACRO in words:
+                            fn_rec.cold = True
                         self._harvest_annotations(words, simple=simple, cls=cls)
                         self._parse_params(head[open_paren + 1:close_paren], qname)
                         sc = _Scope("function", simple)
@@ -1283,9 +1292,10 @@ def merged_functions(units: list) -> dict:
             if q in fns:
                 fns[q].calls |= fi.calls
                 fns[q].hot = fns[q].hot or fi.hot
+                fns[q].cold = fns[q].cold or fi.cold
             else:
                 fns[q] = FunctionInfo(fi.qname, fi.name, fi.cls, fi.file,
-                                      fi.line, set(fi.calls), fi.hot)
+                                      fi.line, set(fi.calls), fi.hot, fi.cold)
     return fns
 
 
@@ -1314,8 +1324,9 @@ def forward_closure(fns: dict, seeds) -> set:
 
 
 def hot_closure(units: list) -> set:
-    """Qnames reachable from DDPM_HOT roots."""
-    fns = merged_functions(units)
+    """Qnames reachable from DDPM_HOT roots without entering a DDPM_COLD
+    function."""
+    fns = {q: fi for q, fi in merged_functions(units).items() if not fi.cold}
     return forward_closure(fns, [fi for fi in fns.values() if fi.hot])
 
 
