@@ -9,6 +9,7 @@
 //   $ ./ddpm_sim --help
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
@@ -52,7 +53,8 @@ int main(int argc, char** argv) {
            "dor|xy|west-first|north-last|negative-first|adaptive|"
            "adaptive-misroute|oracle");
   cli.text("--scheme", config.cluster.scheme, "NAME",
-           "ddpm|dpm|ppm-full|ppm-xor|ppm-bitdiff|none (also the identifier)");
+           "ddpm|dpm|ppm-full|ppm-xor|ppm-bitdiff|ppm-fragment|none "
+           "(also the identifier)");
   cli.text("--pattern", config.cluster.pattern, "NAME",
            "uniform|transpose|complement|bit-reverse|hotspot");
   cli.number("--benign-rate", config.cluster.benign_rate_per_node, "R",
@@ -103,6 +105,21 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.parse(argc, argv, std::cout)) return 0;
+    if (repeat) {
+      // A repeated run prints aggregates only: the outputs of one run's
+      // report, trace and deliveries have nothing to write.
+      const std::pair<const char*, bool> single_run_flags[] = {
+          {"--json", json_output},
+          {"--trace", !trace_path.empty()},
+          {"--delivery-log", !delivery_log_path.empty()},
+          {"--dot", !dot_path.empty()}};
+      for (const auto& [flag, given] : single_run_flags) {
+        if (given) {
+          throw std::invalid_argument(std::string(flag) +
+                                      " needs a single run (drop --repeat)");
+        }
+      }
+    }
     config.identifier = config.cluster.scheme;
     if (no_block) config.auto_block = false;
 
@@ -141,9 +158,6 @@ int main(int argc, char** argv) {
     };
 
     if (repeat) {
-      if (!trace_path.empty()) {
-        throw std::invalid_argument("--trace needs a single run (drop --repeat)");
-      }
       const auto summary = core::run_repeated_n(config, *repeat);
       write_metrics(summary.telemetry);
       std::cout << summary.to_string() << '\n';

@@ -58,7 +58,7 @@ SourceIdentificationSystem::SourceIdentificationSystem(ScenarioConfig config)
                                 config_.cluster.initial_ttl);
   report_.true_sources.insert(config_.attack.zombies.begin(),
                               config_.attack.zombies.end());
-  probes_.bind(&network_->registry(), nullptr);
+  probes_.bind(network_->registry());
   network_->set_attack(config_.attack);
   network_->set_delivery_hook(
       [this](const pkt::Packet& p, topo::NodeId at) { on_delivery(p, at); });
@@ -66,8 +66,7 @@ SourceIdentificationSystem::SourceIdentificationSystem(ScenarioConfig config)
 
 void SourceIdentificationSystem::set_tracer(telemetry::Tracer* tracer) {
   network_->set_tracer(tracer);
-  // Re-binding reuses the existing registry slots; only the tracer changes.
-  probes_.bind(&network_->registry(), tracer);
+  probes_.attach(tracer);
 }
 
 void SourceIdentificationSystem::on_delivery(const pkt::Packet& packet,
@@ -137,12 +136,7 @@ ScenarioReport SourceIdentificationSystem::run() {
   ran_ = true;
   network_->start();
   network_->run_until(config_.duration);
-  const double latency =
-      report_.detection_time
-          ? double(*report_.detection_time) - double(config_.attack.start_time)
-          : 0.0;
-  probes_.on_run_end(report_.detection_time.has_value(), latency,
-                     double(detector_->memory_bytes()));
+  probes_.on_run_end(double(detector_->memory_bytes()));
   report_.metrics = network_->metrics();
   report_.telemetry = network_->telemetry_snapshot();
   return report_;

@@ -36,19 +36,12 @@ void MarkProbes::bind(Registry* registry, const std::string& scheme_name) {
   saturations_ = registry->counter("mark.field_saturations", labels);
 }
 
-void PipelineProbes::bind(Registry* registry, Tracer* tracer) {
-  tracer_ = tracer;
-  if (registry == nullptr) return;
-  detector_firings_ = registry->counter("detect.firings");
-  identify_attempts_ = registry->counter("identify.attempts");
-  identify_unique_ = registry->counter("identify.unique");
-  identify_ambiguous_ = registry->counter("identify.ambiguous");
-  identify_none_ = registry->counter("identify.none");
-  identified_correct_ = registry->counter("identify.correct");
-  identified_innocent_ = registry->counter("identify.innocent");
-  blocks_installed_ = registry->counter("mitigate.blocks_installed");
-  detect_latency_ = registry->gauge("detect.latency_ticks");
-  detect_memory_ = registry->gauge("detect.memory_bytes");
+void PipelineProbes::bind(Registry& registry) {
+  identify_attempts_ = registry.counter("identify.attempts");
+  identify_unique_ = registry.counter("identify.unique");
+  identify_ambiguous_ = registry.counter("identify.ambiguous");
+  identify_none_ = registry.counter("identify.none");
+  detect_memory_ = registry.gauge("detect.memory_bytes");
 }
 
 void WormholeProbes::bind(Registry* registry) {

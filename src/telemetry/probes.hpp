@@ -124,12 +124,16 @@ struct MarkProbes {
   Counter saturations_;
 };
 
-/// Detect→identify→block pipeline telemetry (owned by the SIS driver).
+/// Detect→identify→block pipeline telemetry, owned by
+/// `core::SourceIdentificationSystem`: the identifier's per-attempt
+/// outcomes, the detector's footprint, and the alarm/identification/block
+/// instants on the trace. What the pipeline detected, named and blocked is
+/// `core::ScenarioReport`'s alone.
 struct PipelineProbes {
-  void bind(Registry* registry, Tracer* tracer);
+  void bind(Registry& registry);
+  void attach(Tracer* tracer) noexcept { tracer_ = tracer; }
 
   void on_detector_firing(std::uint32_t victim) {
-    detector_firings_.inc();
     if (tracer_ != nullptr) {
       tracer_->instant("detect.alarm", kPidPipeline, 0, "victim",
                        double(victim));
@@ -146,38 +150,27 @@ struct PipelineProbes {
     }
   }
   void on_identification(std::uint32_t named, bool correct) {
-    (correct ? identified_correct_ : identified_innocent_).inc();
     if (tracer_ != nullptr) {
       tracer_->instant(correct ? "identify.source" : "identify.innocent",
                        kPidPipeline, 0, "node", double(named));
     }
   }
   void on_block(std::uint32_t named) {
-    blocks_installed_.inc();
     if (tracer_ != nullptr) {
       tracer_->instant("mitigate.block", kPidPipeline, 0, "node",
                        double(named));
     }
   }
-  /// End-of-run gauges: detection latency (alarm minus attack start; only
-  /// set when the detector fired) and the detector's state footprint.
-  void on_run_end(bool detected, double latency_ticks, double memory_bytes) {
-    if (detected) detect_latency_.set(latency_ticks);
-    detect_memory_.set(memory_bytes);
-  }
+  /// End-of-run gauge: the detector's state footprint.
+  void on_run_end(double memory_bytes) { detect_memory_.set(memory_bytes); }
 
  private:
   Tracer* tracer_ = nullptr;
-  Gauge detect_latency_;
   Gauge detect_memory_;
-  Counter detector_firings_;
   Counter identify_attempts_;
   Counter identify_unique_;
   Counter identify_ambiguous_;
   Counter identify_none_;
-  Counter identified_correct_;
-  Counter identified_innocent_;
-  Counter blocks_installed_;
 };
 
 /// Wormhole substrate: VC allocation wins/stalls, credit stalls, a buffer-
@@ -236,12 +229,13 @@ struct MarkProbes {
 };
 
 struct PipelineProbes {
-  void bind(Registry*, Tracer*) noexcept {}
+  void bind(Registry&) noexcept {}
+  void attach(Tracer*) noexcept {}
   void on_detector_firing(std::uint32_t) noexcept {}
   void on_identify(std::size_t) noexcept {}
   void on_identification(std::uint32_t, bool) noexcept {}
   void on_block(std::uint32_t) noexcept {}
-  void on_run_end(bool, double, double) noexcept {}
+  void on_run_end(double) noexcept {}
 };
 
 struct WormholeProbes {

@@ -3,9 +3,14 @@
 // slab-backed in steady state (the reserve-dominates heuristic), and
 // allocation in functions outside the hot closure is free to stay: a
 // function that is never called from hot code, and a DDPM_COLD growth
-// step that hot code calls only past its reservation.
+// step that hot code calls only past its reservation. Placement new
+// constructs in storage that already exists, and a `bool(n)` cast is not
+// a call of some class's `operator bool`.
 #include <cstddef>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #define DDPM_HOT
@@ -38,12 +43,36 @@ DDPM_COLD void grow(Pool& pool) {
   pool.capacity = bigger;
 }
 
-DDPM_HOT int hot_tick(std::vector<int>& xs, Pool& pool) {
+class Slot {
+ public:
+  template <typename T>
+  void emplace(T&& value) noexcept(
+      std::is_nothrow_constructible_v<std::decay_t<T>, T&&>) {
+    using V = std::decay_t<T>;
+    static_assert(sizeof(V) <= sizeof(buf_));
+    ::new (static_cast<void*>(buf_)) V(std::forward<T>(value));
+    used_ = true;
+  }
+
+  explicit operator bool() const noexcept {
+    // Never reached from hot code: a conversion operator is not named
+    // `bool`, so the cast in hot_tick() does not pull it in.
+    static int* debug_copy = new int(0);
+    return used_ && debug_copy != nullptr;
+  }
+
+ private:
+  alignas(8) unsigned char buf_[16];
+  bool used_ = false;
+};
+
+DDPM_HOT int hot_tick(std::vector<int>& xs, Pool& pool, Slot& slot) {
   xs.reserve(16);
   xs.push_back(1);  // reserve() above dominates: no finding
   if (pool.used == pool.capacity) grow(pool);
   pool.slots[pool.used++] = 1;
-  return int(xs.size());
+  slot.emplace(pool.used);  // placement new into the slot's buffer
+  return int(xs.size()) + bool(pool.used);
 }
 
 }  // namespace fx

@@ -15,6 +15,7 @@
 #include "core/sweep_grid.hpp"
 #include "flow/trace_gen.hpp"
 #include "stream/flow_analyzer.hpp"
+#include "golden_digest.hpp"
 
 namespace ddpm::core {
 namespace {
@@ -37,17 +38,6 @@ ScenarioConfig scenario(const std::string& topology, const std::string& router,
   return config;
 }
 
-/// FNV-1a digest of the serialized report — a compact fingerprint that
-/// makes failures easy to report and compare across machines.
-std::uint64_t digest(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string run_to_json(const ScenarioConfig& config) {
   SourceIdentificationSystem sis(config);
   const ScenarioReport report = sis.run();
@@ -58,7 +48,7 @@ TEST(Determinism, SameSeedSameJsonDigest) {
   const auto config = scenario("mesh:6x6", "adaptive", 1234);
   const std::string first = run_to_json(config);
   const std::string second = run_to_json(config);
-  EXPECT_EQ(digest(first), digest(second));
+  EXPECT_EQ(golden::fnv1a(first), golden::fnv1a(second));
   ASSERT_EQ(first, second);
 }
 
@@ -103,7 +93,7 @@ TEST(Determinism, SweepOutputBitIdenticalAcrossJobCounts) {
   // carried the work.
   const std::string serial = sweep_csv(run_sweep(small_sweep(1)));
   const std::string parallel = sweep_csv(run_sweep(small_sweep(4)));
-  EXPECT_EQ(digest(serial), digest(parallel));
+  EXPECT_EQ(golden::fnv1a(serial), golden::fnv1a(parallel));
   ASSERT_EQ(serial, parallel);
   const std::string parallel8 = sweep_csv(run_sweep(small_sweep(8)));
   ASSERT_EQ(serial, parallel8);
@@ -135,8 +125,8 @@ TEST(Determinism, TelemetrySnapshotsByteIdenticalAcrossJobCounts) {
   const auto config = scenario("mesh:6x6", "adaptive", 4321);
   const auto serial = run_replications(config, 8, 1);
   const auto parallel = run_replications(config, 8, 8);
-  EXPECT_EQ(digest(serial.telemetry.to_json()),
-            digest(parallel.telemetry.to_json()));
+  EXPECT_EQ(golden::fnv1a(serial.telemetry.to_json()),
+            golden::fnv1a(parallel.telemetry.to_json()));
   ASSERT_EQ(serial.telemetry.to_json(), parallel.telemetry.to_json());
   ASSERT_EQ(serial.telemetry.to_csv(), parallel.telemetry.to_csv());
 }
@@ -168,7 +158,7 @@ TEST(Determinism, FlowReplayBitIdenticalAcrossJobCounts) {
   const std::string serial = flow_report_json(1);
   EXPECT_NE(serial.find("\"detection_time\": "), std::string::npos);
   const std::string parallel4 = flow_report_json(4);
-  EXPECT_EQ(digest(serial), digest(parallel4));
+  EXPECT_EQ(golden::fnv1a(serial), golden::fnv1a(parallel4));
   ASSERT_EQ(serial, parallel4);
   const std::string parallel8 = flow_report_json(8);
   ASSERT_EQ(serial, parallel8);

@@ -8,8 +8,8 @@
 #include <string>
 #include <tuple>
 
-#include "core/report_json.hpp"
 #include "core/sis.hpp"
+#include "golden_digest.hpp"
 
 namespace ddpm::core {
 namespace {
@@ -96,40 +96,22 @@ INSTANTIATE_TEST_SUITE_P(
                                          "ppm-fragment"),
                        ::testing::Values("dor", "adaptive")));
 
-/// FNV-1a, as tests/test_determinism.cpp fingerprints reports.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 struct GoldenCell {
   const char* topology;
   const char* scheme;
   const char* router;
-  std::uint64_t digest;  // FNV-1a of to_json(config, report)
-  // The same with the probes compiled out (DDPM_TELEMETRY=OFF): the
-  // report counts its telemetry series, which that build has none of.
-  std::uint64_t digest_no_telemetry;
+  std::uint64_t digest;  // golden::masked_report_digest, either probe build
 };
 
 // PPM identification output, pinned across commits: any change to what the
 // victim-side reconstruction names, or when, moves a digest. The failure
 // prints the new value.
 constexpr GoldenCell kPpmGolden[] = {
-    {"torus:5x5", "ppm-full", "adaptive", 0xc14aac35df07c06fULL,
-     0x85dd27fd0627615aULL},
-    {"torus:5x5", "ppm-xor", "adaptive", 0x2d85d84c5ab08f0bULL,
-     0x9713d3b3e368a9b6ULL},
-    {"torus:5x5", "ppm-bitdiff", "adaptive", 0x5d21c49d2a39836dULL,
-     0x1e33949d4747a438ULL},
-    {"torus:5x5", "ppm-fragment", "adaptive", 0x8b4a9e0c07767a09ULL,
-     0xebbafe91b0ba9424ULL},
-    {"mesh:6x6", "ppm-full", "dor", 0x9523296dedbaca56ULL,
-     0xc60df2f0ce3017a8ULL},
+    {"torus:5x5", "ppm-full", "adaptive", 0x7b4961ee2e9ac0acULL},
+    {"torus:5x5", "ppm-xor", "adaptive", 0xa1d6ee75fadf37b0ULL},
+    {"torus:5x5", "ppm-bitdiff", "adaptive", 0xf249a9e89b43b206ULL},
+    {"torus:5x5", "ppm-fragment", "adaptive", 0x52b0f9bcb71cf1baULL},
+    {"mesh:6x6", "ppm-full", "dor", 0xdf0f1888a2586876ULL},
 };
 
 // The cluster hop itself, pinned across commits: routing, the switch's
@@ -137,38 +119,23 @@ constexpr GoldenCell kPpmGolden[] = {
 // change to which port a packet takes, when it lands, or what mark it
 // carries moves a digest. "none" pins the unmarked network alone.
 constexpr GoldenCell kClusterGolden[] = {
-    {"torus:5x5", "ddpm", "adaptive", 0xd33993f8c5a29a4cULL,
-     0xe682c3f796f9f707ULL},
-    {"torus:5x5", "dpm", "adaptive", 0x079570e760e90d1eULL,
-     0xf03a2db1defb7099ULL},
-    {"torus:5x5", "none", "adaptive", 0x9fccb31d92548c71ULL,
-     0x6950b8a9eb37372eULL},
-    {"mesh:6x6", "ddpm", "dor", 0x22367a8dbcccd578ULL,
-     0xccba02818ccb502eULL},
-    {"mesh:6x6", "dpm", "dor", 0xa1179193c2cb59c2ULL,
-     0xfbf3df0be7e3da1cULL},
-    {"mesh:6x6", "none", "dor", 0x3ac66be0ec53cfdeULL,
-     0x2b0d2d7b0cd841a6ULL},
-    {"hypercube:5", "ddpm", "adaptive", 0x5c62727e75370fd7ULL,
-     0xe06748b5884e554fULL},
-    {"mesh:4x4x4", "ddpm", "adaptive", 0x9b50384eabb0f1d8ULL,
-     0x7f84616ee315356bULL},
-    {"torus:6x6", "ddpm", "dor", 0xf5a6fb4f640d993cULL,
-     0x230ecac1f9cf920aULL},
+    {"torus:5x5", "ddpm", "adaptive", 0xb19ffbf921989cb7ULL},
+    {"torus:5x5", "dpm", "adaptive", 0x89daa21b2a8f298dULL},
+    {"torus:5x5", "none", "adaptive", 0x4028c791cd0c2d78ULL},
+    {"mesh:6x6", "ddpm", "dor", 0x7f87c39ea7c13078ULL},
+    {"mesh:6x6", "dpm", "dor", 0x7e71c80f63302fc2ULL},
+    {"mesh:6x6", "none", "dor", 0xb9b0a3c656851c60ULL},
+    {"hypercube:5", "ddpm", "adaptive", 0x8daa87c3b286da2fULL},
+    {"mesh:4x4x4", "ddpm", "adaptive", 0x20c06fdc8f953803ULL},
+    {"torus:6x6", "ddpm", "dor", 0x24b9e55970dfb11cULL},
 };
 
 void expect_golden(const GoldenCell& g) {
   const ScenarioConfig config = cell_config(g.topology, g.scheme, g.router);
   SourceIdentificationSystem system(config);
-  const ScenarioReport report = system.run();
-  const std::uint64_t got = fnv1a(to_json(config, report));
-#if DDPM_TELEMETRY_ENABLED
-  const std::uint64_t want = g.digest;
-#else
-  const std::uint64_t want = g.digest_no_telemetry;
-#endif
-  EXPECT_EQ(got, want) << g.topology << " " << g.scheme << " " << g.router
-                       << ": digest 0x" << std::hex << got;
+  const std::uint64_t got = golden::masked_report_digest(config, system.run());
+  EXPECT_EQ(got, g.digest) << g.topology << " " << g.scheme << " " << g.router
+                           << ": digest 0x" << std::hex << got;
 }
 
 TEST(PipelineGolden, PpmIdentificationDigestsArePinned) {
@@ -177,6 +144,35 @@ TEST(PipelineGolden, PpmIdentificationDigestsArePinned) {
 
 TEST(PipelineGolden, ClusterHopDigestsArePinned) {
   for (const GoldenCell& g : kClusterGolden) expect_golden(g);
+}
+
+/// The series a scenario registers, from the fabric alone: per switch a
+/// local-delivery counter, a queue-depth histogram and three link counters
+/// per port; the pipeline's four `identify.*` counters and its
+/// `detect.memory_bytes` gauge; two `mark.*` counters unless the scheme is
+/// "none"; and the 11 `sim.*`/`net.*` gauges published at snapshot time,
+/// which are all that is left with the probes compiled out.
+std::size_t expected_series(const std::string& topology,
+                            const std::string& scheme) {
+  constexpr std::size_t kSnapshotGauges = 11;
+  if (!DDPM_TELEMETRY_ENABLED) return kSnapshotGauges;
+  const auto topo = topo::make_topology(topology);
+  const std::size_t per_switch = 2 + 3 * std::size_t(topo->num_ports());
+  return std::size_t(topo->num_nodes()) * per_switch + 5 +
+         (scheme == "none" ? 0 : 2) + kSnapshotGauges;
+}
+
+void expect_series(const GoldenCell& g) {
+  const ScenarioConfig config = cell_config(g.topology, g.scheme, g.router);
+  SourceIdentificationSystem system(config);
+  EXPECT_EQ(system.run().telemetry.series(),
+            expected_series(g.topology, g.scheme))
+      << g.topology << " " << g.scheme << " " << g.router;
+}
+
+TEST(PipelineGolden, SeriesCountFollowsTheFabric) {
+  for (const GoldenCell& g : kPpmGolden) expect_series(g);
+  for (const GoldenCell& g : kClusterGolden) expect_series(g);
 }
 
 }  // namespace

@@ -26,18 +26,12 @@
 #include "flow/record.hpp"
 #include "flow/trace_gen.hpp"
 #include "stream/flow_analyzer.hpp"
+#include "golden_digest.hpp"
 
 namespace ddpm::stream {
 namespace {
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using golden::fnv1a;
 
 /// Digest of the report with `memory_bytes` zeroed.
 std::uint64_t masked_digest(StreamReport report) {

@@ -13,9 +13,12 @@
 
 #include "marking/ddpm.hpp"
 #include "topology/factory.hpp"
+#include "golden_digest.hpp"
 
 namespace ddpm::wormhole {
 namespace {
+
+using golden::fnv1a;
 
 pkt::Packet make_packet(const topo::Topology&, NodeId src, NodeId dst,
                         std::uint32_t payload = 60) {
@@ -474,16 +477,6 @@ std::vector<DeliveryEvidence> run_traced_scenario(
   EXPECT_EQ(evidence.size(), injected);
   if (telemetry_csv != nullptr) *telemetry_csv = registry.snapshot().to_csv();
   return evidence;
-}
-
-/// FNV-1a, as tests/test_determinism.cpp fingerprints reports.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::uint64_t evidence_digest(const std::vector<DeliveryEvidence>& evidence) {

@@ -116,7 +116,7 @@ from pathlib import Path
 
 # Bump whenever extraction or the rule passes change meaning: the facts
 # cache (--facts-cache) keys on it, so stale pickles self-invalidate.
-TOOL_VERSION = "5"
+TOOL_VERSION = "6"
 
 RULES = (
     "ordered-iteration",
@@ -200,7 +200,10 @@ HOT_STATE_RE = re.compile(r"\b(?:struct|class)\s+DDPM_HOT_STATE\s+([A-Za-z_]\w*)
 HOT_LAYOUT_RE = re.compile(
     r"\bDDPM_HOT_LAYOUT\s*\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 HOT_ALLOC_RES = (
-    (re.compile(r"\bnew\b"), "operator new"),
+    # Placement `::new (ptr) T(...)` constructs in storage that already
+    # exists; `new (std::nothrow) T` still allocates.
+    (re.compile(r"\bnew\b(?!\s*\((?!\s*(?:std\s*::\s*)?nothrow\s*\)))"),
+     "operator new"),
     (re.compile(r"\bmake_(?:unique|shared)\s*<"), "make_unique/make_shared"),
     (re.compile(r"\bstd\s*::\s*function\s*<"), "std::function construction"),
     (re.compile(r"\ballocator\b[^;]*(?:\.|::)\s*allocate\s*\("),
@@ -709,57 +712,85 @@ class TextualUnit:
         # function definition?  ... name ( params ) [quals] {
         if any(sc.kind == "function" for sc in scopes):
             return _Scope("block")  # nested brace inside a function
-        close_paren = None
-        for j in range(len(head) - 1, -1, -1):
+        # Walk back over the qualifiers after the parameter list; a
+        # `noexcept(expr)` or trailing `decltype(expr)` group is a qualifier
+        # too, not the parameter list.
+        close_paren = open_paren = None
+        j = len(head) - 1
+        while j >= 0:
             if head[j].s == ")":
-                close_paren = j
+                k = self._match_back(head, j)
+                if k is not None and k > 0 and \
+                        head[k - 1].s in ("noexcept", "decltype"):
+                    j = k - 2
+                    continue
+                close_paren, open_paren = j, k
                 break
             if head[j].s in ("const", "noexcept", "override", "final", "try",
                              "&", "&&", "->") or re.match(r"[\w:<>,\s]", head[j].s):
+                j -= 1
                 continue
             break
-        if close_paren is not None:
-            depth = 0
-            open_paren = None
-            for j in range(close_paren, -1, -1):
-                if head[j].s == ")":
-                    depth += 1
-                elif head[j].s == "(":
-                    depth -= 1
-                    if depth == 0:
-                        open_paren = j
-                        break
-            if open_paren is not None and open_paren > 0:
-                before = head[open_paren - 1].s
-                if before not in CXX_KEYWORDS and re.match(r"[A-Za-z_~]", before):
-                    qname, simple, cls = self._function_name(head, open_paren,
-                                                            scopes, ns_stack)
-                    if qname:
-                        # Inline-bodied members never reach _handle_statement
-                        # (no terminating `;`), so record the special-member
-                        # flags from the head here.
-                        if scopes and scopes[-1].kind == "class":
-                            self._class_member_flags(
-                                words, scopes[-1].name, scopes[-1].access)
-                        fn = FunctionInfo(qname, simple, cls, self.rel,
-                                          head[open_paren - 1].line)
-                        fn_rec = self.functions.setdefault(qname, fn)
-                        if HOT_FN_MACRO in words:
-                            fn_rec.hot = True
-                        if COLD_FN_MACRO in words:
-                            fn_rec.cold = True
-                        self._harvest_annotations(words, simple=simple, cls=cls)
-                        self._parse_params(head[open_paren + 1:close_paren], qname)
-                        sc = _Scope("function", simple)
-                        sc.qname = qname
-                        sc.hot = HOT_FN_MACRO in words
-                        sc.start_line = head[0].line if head else 0
-                        return sc
+        if open_paren:
+            name_i, op_name = self._operator_head(head, open_paren)
+            before = head[name_i].s
+            if before not in CXX_KEYWORDS and re.match(r"[A-Za-z_~]", before):
+                qname, simple, cls = self._function_name(
+                    head, name_i, scopes, ns_stack, op_name)
+                if qname:
+                    # Inline-bodied members never reach _handle_statement
+                    # (no terminating `;`), so record the special-member
+                    # flags from the head here.
+                    if scopes and scopes[-1].kind == "class":
+                        self._class_member_flags(
+                            words, scopes[-1].name, scopes[-1].access)
+                    fn = FunctionInfo(qname, simple, cls, self.rel,
+                                      head[open_paren - 1].line)
+                    fn_rec = self.functions.setdefault(qname, fn)
+                    if HOT_FN_MACRO in words:
+                        fn_rec.hot = True
+                    if COLD_FN_MACRO in words:
+                        fn_rec.cold = True
+                    self._harvest_annotations(words, simple=simple, cls=cls)
+                    self._parse_params(head[open_paren + 1:close_paren], qname)
+                    sc = _Scope("function", simple)
+                    sc.qname = qname
+                    sc.hot = HOT_FN_MACRO in words
+                    sc.start_line = head[0].line if head else 0
+                    return sc
         return _Scope("block")
 
-    def _function_name(self, head, open_paren, scopes, ns_stack):
+    @staticmethod
+    def _match_back(head, close_i: int):
+        """Index of the `(` that closes with head[close_i], or None."""
+        depth = 0
+        for j in range(close_i, -1, -1):
+            if head[j].s == ")":
+                depth += 1
+            elif head[j].s == "(":
+                depth -= 1
+                if depth == 0:
+                    return j
+        return None
+
+    @staticmethod
+    def _operator_head(head, open_paren: int):
+        """The index of the function's name token and its name when that
+        is not the token before the parameters: `operator()(`,
+        `operator==(` and the conversion `operator bool(` are named
+        `operator()`, `operator==` and `operator bool`, from the index of
+        the `operator` keyword."""
+        for k in range(open_paren - 1, max(open_paren - 5, -1), -1):
+            if head[k].s == "operator":
+                rest = [t.s for t in head[k + 1:open_paren]]
+                if rest and re.match(r"[A-Za-z_]", rest[0]):
+                    return k, "operator " + " ".join(rest)  # conversion
+                return k, "operator" + "".join(rest)
+        return open_paren - 1, None
+
+    def _function_name(self, head, name_i, scopes, ns_stack, name=None):
         parts = []
-        j = open_paren - 1
+        j = name_i
         while j >= 0:
             w = head[j].s
             if re.match(r"[A-Za-z_~]\w*$", w):
@@ -784,6 +815,8 @@ class TextualUnit:
         if not parts:
             return "", "", ""
         parts.reverse()
+        if name:
+            parts[-1] = name
         simple = parts[-1]
         cls = parts[-2] if len(parts) > 1 else ""
         encl_cls = ""
