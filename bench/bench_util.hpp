@@ -9,23 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/build_info.hpp"
-
 namespace ddpm::bench {
-
-// Build-provenance fields for bench JSON artifacts: without the commit,
-// compiler, build type and telemetry gate attached, a perf number cannot be
-// compared against any other run. Returns the inner fields (no braces) so
-// each bench can splice them into its own object at the chosen indent.
-inline std::string provenance_json_fields(const std::string& indent = "  ") {
-  std::ostringstream os;
-  os << indent << "\"git_sha\": \"" << build::kGitSha << "\",\n"
-     << indent << "\"compiler\": \"" << build::kCompiler << "\",\n"
-     << indent << "\"build_type\": \"" << build::kBuildType << "\",\n"
-     << indent << "\"telemetry\": "
-     << (build::kTelemetryEnabled ? "true" : "false");
-  return os.str();
-}
 
 class Table {
  public:

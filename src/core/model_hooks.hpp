@@ -13,8 +13,8 @@
 // skipped escape-VC fallback) at the exact points in the wormhole engine
 // where the real bug class would live. In ordinary builds the macro is the
 // constant `false`, so the hot path compiles byte-identically to a tree
-// without the hook (the wormhole_steps floor in BENCH_kernel.json pins
-// this). Only a translation unit compiled with -DDDPM_MODEL_MUTATIONS
+// without the hook (the perfbench `wormhole_torus8` A/B in CI would show
+// a cost). Only a translation unit compiled with -DDDPM_MODEL_MUTATIONS
 // (tests/test_model_mutations.cpp builds its own copy of wormhole.cpp that
 // way) pays the runtime check, selected through set_model_mutation().
 //

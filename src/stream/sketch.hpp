@@ -1,6 +1,6 @@
 // Count-min sketch with conservative update — a standalone bounded-memory
 // frequency primitive. No analyzer or detector in this library keeps one;
-// its tests, bench_kernel and perfbench exercise it on its own.
+// its tests and perfbench's `stream.sketch_update_ns` exercise it alone.
 //
 // Geometry: `depth` rows of `width` 64-bit counters, one independent hash
 // per row. The classic guarantees hold (Cormode & Muthukrishnan):
@@ -19,7 +19,7 @@
 // locks, no throw/IO, and no hardware division — row/column mapping uses
 // a multiply-shift range reduction instead of `% width`. tests pin the
 // error bounds differentially against exact counters on 100k-source
-// streams; bench_kernel ratchets `sketch_update` throughput.
+// streams; no production path runs it (ROADMAP item 3 deletes it).
 #pragma once
 
 #include <bit>

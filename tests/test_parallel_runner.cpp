@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace ddpm::core {
@@ -65,6 +68,34 @@ TEST(ParallelRunner, ParallelMatchesSerial) {
   const auto a = serial.map<std::uint64_t>(300, work);
   const auto b = parallel.map<std::uint64_t>(300, work);
   EXPECT_EQ(a, b);
+}
+
+TEST(ParallelRunner, RunsItemsConcurrentlyUpToTheWorkerCount) {
+  // Each item waits until as many items are inside at once as the runner
+  // may have workers (jobs, capped by the hardware thread count). A runner
+  // that serializes its items never gets there: the wait is a spin with one
+  // shared deadline, so it fails the test instead of hanging it.
+  constexpr std::size_t kJobs = 4;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  const int target = int(hw == 0 ? kJobs : std::min(kJobs, hw));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+  ParallelRunner pool(kJobs);
+  pool.for_each_index(kJobs, [&](std::size_t) {
+    const int now = inside.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+    }
+    while (peak.load() < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    inside.fetch_sub(1);
+  });
+  EXPECT_EQ(peak.load(), target) << "items inside at once, jobs " << kJobs
+                                 << ", hardware threads " << hw;
 }
 
 TEST(ParallelRunner, ExceptionPropagatesToCaller) {

@@ -116,7 +116,7 @@ from pathlib import Path
 
 # Bump whenever extraction or the rule passes change meaning: the facts
 # cache (--facts-cache) keys on it, so stale pickles self-invalidate.
-TOOL_VERSION = "6"
+TOOL_VERSION = "7"
 
 RULES = (
     "ordered-iteration",
@@ -191,9 +191,12 @@ TORUS_WRAP_OP_RE = re.compile(r"[\w\)\]]\s*[%/]\s*[\w\(]")
 # A function whose definition head carries DDPM_HOT is a hot-path root;
 # the rules apply to it and to its call-graph closure (simple-name edges,
 # same resolution as result_path_functions — a deliberate overapproximation:
-# a virtual callee pulls every same-named implementation in). A definition
-# head carrying DDPM_COLD (slab growth past a reservation) is left out of
-# the closure, and so is what only it calls.
+# a virtual callee pulls every same-named implementation in). A call
+# `x(...)` through a local, parameter or member `x` whose declared type (or
+# the alias it names) records an `operator()` also reaches that operator,
+# by its qualified name. A definition head carrying DDPM_COLD (slab growth
+# past a reservation) is left out of the closure, and so is what only it
+# calls.
 HOT_FN_MACRO = "DDPM_HOT"
 COLD_FN_MACRO = "DDPM_COLD"
 HOT_STATE_RE = re.compile(r"\b(?:struct|class)\s+DDPM_HOT_STATE\s+([A-Za-z_]\w*)")
@@ -498,6 +501,42 @@ class _Scope:
     start_line: int = 0  # function head line (extent recording)
 
 
+def strip_attributes(words: list) -> list:
+    """`words` without `alignas(...)` and `[[...]]` attribute groups, so a
+    member declared `alignas(64) [[no_unique_address]] T x;` reads as
+    `T x`."""
+    out: list = []
+    k = 0
+    while k < len(words):
+        if words[k] == "alignas" and k + 1 < len(words) and words[k + 1] == "(":
+            depth = 0
+            for k in range(k + 1, len(words)):
+                depth += {"(": 1, ")": -1}.get(words[k], 0)
+                if depth == 0:
+                    break
+        elif words[k:k + 2] == ["[", "["]:
+            end = next((j for j in range(k + 2, len(words) - 1)
+                        if words[j:j + 2] == ["]", "]"]), len(words) - 1)
+            k = end + 1
+        else:
+            out.append(words[k])
+        k += 1
+    return out
+
+
+def type_class_name(words: list) -> str:
+    """The simple class name a declared type names: the last identifier
+    before any template argument list, qualifiers and cv/ref dropped
+    (`const ns::Action&` -> `Action`, `std::vector<int>` -> `vector`)."""
+    if "<" in words:
+        words = words[:words.index("<")]
+    names = [w for w in words if re.match(r"[A-Za-z_]\w*$", w)
+             and w not in ("const", "volatile", "typename", "struct",
+                           "class", "mutable", "static", "constexpr",
+                           "inline", "auto")]
+    return names[-1] if names else ""
+
+
 class TextualUnit:
     """Facts extracted from one source file by the textual frontend."""
 
@@ -513,6 +552,10 @@ class TextualUnit:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.members: dict[str, dict[str, str]] = {}   # class -> name -> type
+        self.aliases: dict[str, str] = {}   # `using X = ...Y<...>` -> "Y"
+        # fn qname -> {(callee name, reached through `.`/`->`)}: the
+        # candidates for a call through a callable object.
+        self.var_calls: dict[str, set] = {}
         self.locals_u16: set = set()
         self.sites: list[Fact] = []
         # (qname, start_line, end_line) per function *definition* — one entry
@@ -932,13 +975,16 @@ class TextualUnit:
             sc.kind in ("enum",) for sc in scopes)
 
         # -- class member declarations & special members ------------------
+        if (in_class or at_ns) and words[0] == "using" and "=" in words:
+            self._record_alias(words)
         if in_class:
             cls = scopes[-1].name
             access = scopes[-1].access
             self._class_member_flags(words, cls, access)
             self._harvest_annotations(words, cls=cls)
+            words = strip_attributes(words)
             # member variable? no parens -> record type
-            if "(" not in words and "operator" not in words and \
+            if words and "(" not in words and "operator" not in words and \
                     words[0] not in ("using", "friend", "typedef", "template",
                                      "enum", "class", "struct"):
                 names = [w for w in words if re.match(r"[A-Za-z_]\w*$", w)]
@@ -969,6 +1015,14 @@ class TextualUnit:
             fn = next(sc.qname for sc in reversed(scopes) if sc.kind == "function")
             self._check_static(stoks, words, line, context=fn)
             self._maybe_local_decl(stoks, words, fn, line)
+
+    def _record_alias(self, words) -> None:
+        """`using X = ns::Y<...>;` records X -> Y, the simple name of the
+        aliased class (template arguments dropped)."""
+        name = words[1]
+        target = type_class_name(words[words.index("=") + 1:])
+        if re.match(r"[A-Za-z_]\w*$", name) and target and target != name:
+            self.aliases[name] = target
 
     def _check_static(self, stoks, words, line, context) -> None:
         if "static" not in words:
@@ -1037,6 +1091,10 @@ class TextualUnit:
                 and i + 1 < len(toks) and toks[i + 1].s == "(":
             if fn_qname in self.functions:
                 self.functions[fn_qname].calls.add(t.s)
+                prev = toks[i - 1].s if i > 0 else ""
+                if prev != "::":
+                    self.var_calls.setdefault(fn_qname, set()).add(
+                        (t.s, prev in (".", "->")))
             if t.s in SCHEDULE_CALLEES:
                 self._check_schedule_call(i, fn_qname)
         # torus-wrap: this token reads a Coord-typed local/param and the
@@ -1329,7 +1387,51 @@ def merged_functions(units: list) -> dict:
             else:
                 fns[q] = FunctionInfo(fi.qname, fi.name, fi.cls, fi.file,
                                       fi.line, set(fi.calls), fi.hot, fi.cold)
+    link_operator_calls(units, fns)
     return fns
+
+
+def link_operator_calls(units: list, fns: dict) -> None:
+    """Adds a qualified edge `T::operator()` to each function that calls
+    `x(...)` where `x` is a local or parameter of that function or a member
+    of its class, and `x`'s type names class T, or an alias of it, that
+    defines `operator()`. After `.`/`->` the receiver's class is not
+    resolved, so every class's member named `x` is a candidate: the same
+    overapproximation as a virtual call. No call site spells `operator()`,
+    so without these edges no call operator (InlineAction's, run by
+    EventWheel::fire for every event) is ever reached."""
+    call_ops: dict[str, list] = {}
+    for fi in fns.values():
+        if fi.name == "operator()" and fi.cls:
+            call_ops.setdefault(fi.cls, []).append(fi.qname)
+    if not call_ops:
+        return
+    aliases: dict[str, str] = {}
+    for u in units:
+        aliases.update(u.aliases)
+    for u in units:
+        for qname, callees in u.var_calls.items():
+            fi = fns.get(qname)
+            if fi is None:
+                continue
+            for name, via_member in callees:
+                if via_member:
+                    types = {mm[name] for mm in u.members.values()
+                             if name in mm}
+                else:
+                    ty = u._local_types.get((qname, name)) or \
+                        u.members.get(fi.cls, {}).get(name)
+                    types = {ty} if ty else set()
+                for ty in types:
+                    words = ty.split()
+                    if words[-1:] == [name]:  # a member's decl names itself
+                        words = words[:-1]
+                    cls = type_class_name(words)
+                    for _ in range(8):  # alias chains; bounded against cycles
+                        if cls not in aliases:
+                            break
+                        cls = aliases[cls]
+                    fi.calls.update(call_ops.get(cls, ()))
 
 
 def forward_closure(fns: dict, seeds) -> set:
@@ -1350,7 +1452,9 @@ def forward_closure(fns: dict, seeds) -> set:
             continue
         reach.add(fi.qname)
         for callee in fi.calls:
-            for target in by_name.get(callee, []):
+            targets = [fns[callee]] if "::" in callee and callee in fns \
+                else by_name.get(callee, [])
+            for target in targets:
                 if target.qname not in reach:
                     work.append(target)
     return reach

@@ -17,11 +17,20 @@ quartiles, the ratio of the medians (change / parent), the pairs the
 change won in that metric's better direction, and whether the gap
 between the medians exceeds the parent's interquartile range.
 
-Exit status: 0 when every run succeeded; 1 when a run failed (non-zero
-exit or no result line), reported `correct: false` or `failed > 0`, or
-when the two sides printed different `digest:` lines (the outputs moved;
-`--allow-digest-change` lifts only this check); 2 on bad arguments. A
-workload that fails this way ends the run: later workloads are not run.
+Exit status: 0 when every run succeeded and nothing regressed; 1 when a
+run failed (non-zero exit or no result line), reported `correct: false`
+or `failed > 0`, or when the two sides printed different `digest:` lines
+(the outputs moved; `--allow-digest-change` lifts only this check); 2 on
+bad arguments. A workload that fails this way ends the run: later
+workloads are not run.
+
+Exit status 1 also when, in any workload, a metric's change median is
+worse than its parent median by more than the `bound` BENCHMARK.json
+gives it, in the metric's `better` direction (for higher-is-better,
+change < parent * (1 - bound); for lower-is-better, change > parent *
+(1 + bound)). Every workload still runs and prints its table; each
+regression is named on stderr with its workload. A metric without a
+`bound` is reported, not gated.
 """
 import argparse
 import json
@@ -69,9 +78,29 @@ def end_to_end_metrics(checkout):
         return json.load(fh)["end_to_end"]
 
 
+def regression(workload, spec, p_med, c_med):
+    """The message naming a regression of one metric past its bound, or
+    None when it is within the bound or has none."""
+    bound = spec.get("bound")
+    if bound is None or not p_med:
+        return None
+    if spec["better"] == "higher":
+        worse = c_med < p_med * (1.0 - bound)
+    else:
+        worse = c_med > p_med * (1.0 + bound)
+    if not worse:
+        return None
+    return (f"perf_ab: regression in {workload}: {spec['name']} median "
+            f"{c_med:.4g} against the parent's {p_med:.4g} "
+            f"({c_med / p_med:.3f}x; {spec['better']} is better, "
+            f"bound {bound:g})")
+
+
 def ab_workload(workload, sides, declared, args):
-    """Runs the pairs of one workload and prints its table; returns the
-    exit status (0, or 1 for a failed run or moved digests)."""
+    """Runs the pairs of one workload and prints its table; returns
+    (status, regressions): status 0, or 1 for a failed run or moved
+    digests, and the messages of the metrics that regressed past their
+    bound."""
     runs = {"parent": [], "change": []}
     digests = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -82,7 +111,7 @@ def ab_workload(workload, sides, declared, args):
             except RuntimeError as err:
                 print(f"perf_ab: {workload} pair {pair + 1}, {side}: {err}",
                       file=sys.stderr)
-                return 1
+                return 1, []
             runs[side].append(metrics)
             digests[side].append(lines)
         print(f"perf_ab: {workload} pair {pair + 1}/{args.pairs} done "
@@ -92,6 +121,7 @@ def ab_workload(workload, sides, declared, args):
           f"runs, {args.pairs} pairs")
     print(f"{'metric':<16} {'better':<6} {'parent median [q1, q3]':<34} "
           f"{'change median [q1, q3]':<34} {'ratio':>7} {'won':>6}  gap>IQR")
+    regressions = []
     for spec in declared:
         name, better = spec["name"], spec["better"]
         if not all(name in m for side in runs.values() for m in side):
@@ -109,6 +139,9 @@ def ab_workload(workload, sides, declared, args):
               f"{f'{p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]':<34} "
               f"{f'{c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]':<34} "
               f"{ratio:>7} {f'{won}/{args.pairs}':>6}  {gap}")
+        message = regression(workload, spec, p_med, c_med)
+        if message:
+            regressions.append(message)
 
     reference = digests["parent"][0]
     for side, per_run in digests.items():
@@ -118,13 +151,13 @@ def ab_workload(workload, sides, declared, args):
                       f"{lines} differ from the parent's first run "
                       f"{reference}", file=sys.stderr)
                 if not args.allow_digest_change:
-                    return 1
+                    return 1, regressions
     for line in reference:
         print(f"parent {line}")
     if digests["change"][0] != reference:
         for line in digests["change"][0]:
             print(f"change {line}")
-    return 0
+    return 0, regressions
 
 
 def main():
@@ -154,13 +187,17 @@ def main():
     except (OSError, ValueError, KeyError) as err:
         parser.error(f"cannot read {args.change_dir}/BENCHMARK.json: {err}")
 
+    status, regressions = 0, []
     for n, workload in enumerate(args.workload):
         if n > 0:
             print()
-        status = ab_workload(workload, sides, declared, args)
+        status, found = ab_workload(workload, sides, declared, args)
+        regressions += found
         if status != 0:
-            return status
-    return 0
+            break
+    for message in regressions:
+        print(message, file=sys.stderr)
+    return 1 if status or regressions else 0
 
 
 if __name__ == "__main__":

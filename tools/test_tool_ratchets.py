@@ -2,9 +2,7 @@
 """Unit tests for the ratchet tooling itself (registered as ctest
 `tool_ratchet_unit`).
 
-Covers tools/ddpm_bench_diff.py (relative tolerance, direction-per-unit,
-missing metrics, the absolute floors mechanism and its --floor override),
-tools/ddpm_verify_diff.py (verdict projection, drift detection,
+Covers tools/ddpm_verify_diff.py (verdict projection, drift detection,
 pass=false gating, --update regeneration), tools/ddpm_analyze.py's CLI,
 ddpm_lint.py's series-documented rule and tools/perf_ab.py (against stub
 perfbench/run.py scripts, so nothing is built). Everything runs the real
@@ -23,7 +21,6 @@ import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
-BENCH_DIFF = os.path.join(TOOLS_DIR, "ddpm_bench_diff.py")
 VERIFY_DIFF = os.path.join(TOOLS_DIR, "ddpm_verify_diff.py")
 LINT = os.path.join(TOOLS_DIR, "ddpm_lint.py")
 PERF_AB = os.path.join(TOOLS_DIR, "perf_ab.py")
@@ -42,149 +39,6 @@ def write_json(directory, name, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
-
-
-BENCH_DOC = {
-    "bench": "kernel",
-    "compiler": "GNU 12.2.0",
-    "build_type": "Release",
-    "mode": "full",
-    "jobs": 1,
-    "results": [
-        {"name": "eq_churn", "value": 5.0e6, "unit": "ops/s"},
-        {"name": "sweep_serial", "value": 3.3, "unit": "s"},
-        {"name": "sweep_speedup", "value": 1.01, "unit": "x"},
-        {"name": "trace_replay", "value": 1.0e7, "unit": "records/s"},
-    ],
-    "floors": {"sweep_speedup": 0.99},
-}
-
-
-class BenchDiffTest(unittest.TestCase):
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory()
-        self.addCleanup(self.tmp.cleanup)
-        self.base = write_json(self.tmp.name, "base.json", BENCH_DOC)
-
-    def current(self, mutate=None, **overrides):
-        doc = copy.deepcopy(BENCH_DOC)
-        doc.update(overrides)
-        if mutate:
-            mutate(doc)
-        return write_json(self.tmp.name, "cur.json", doc)
-
-    def set_metric(self, doc, name, value):
-        for r in doc["results"]:
-            if r["name"] == name:
-                r["value"] = value
-                return
-        raise KeyError(name)
-
-    def test_identical_accepts(self):
-        p = run(BENCH_DIFF, self.base, self.current())
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("ratchet holds", p.stdout)
-
-    def test_regression_beyond_tolerance_rejects(self):
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 4.0e6))  # -20%
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("eq_churn", p.stderr)
-
-    def test_regression_within_tolerance_accepts(self):
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 4.7e6))  # -6%
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 0, p.stderr)
-
-    def test_improvement_of_any_size_accepts(self):
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "eq_churn", 5.0e7))
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 0, p.stderr)
-
-    def test_duration_direction_is_lower_better(self):
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "sweep_serial", 4.0))  # +21%
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("sweep_serial", p.stderr)
-
-    def test_bench_kernel_rates_are_higher_better(self):
-        # trace_replay (records/s) and sketch_update (updates/s) are rates:
-        # slower must reject, faster must pass.
-        slower = self.current(
-            mutate=lambda d: self.set_metric(d, "trace_replay", 8.0e6))
-        p = run(BENCH_DIFF, self.base, slower)
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("trace_replay", p.stderr)
-        faster = self.current(
-            mutate=lambda d: self.set_metric(d, "trace_replay", 2.0e7))
-        p = run(BENCH_DIFF, self.base, faster)
-        self.assertEqual(p.returncode, 0, p.stderr)
-
-    def test_metric_missing_from_current_warns_but_accepts(self):
-        cur = self.current(mutate=lambda d: d["results"].pop(0))  # eq_churn
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("present in baseline only", p.stdout)
-
-    def test_new_metric_in_current_accepts(self):
-        cur = self.current(mutate=lambda d: d["results"].append(
-            {"name": "brand_new", "value": 1.0, "unit": "ops/s"}))
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("new metric", p.stdout)
-
-    def test_floor_breach_rejects_even_within_tolerance(self):
-        # -6% is inside the 10% tolerance, but 0.95 < floor 0.99.
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "sweep_speedup", 0.95))
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("FLOOR VIOLATION", p.stdout)
-
-    def test_floor_satisfied_accepts(self):
-        cur = self.current(
-            mutate=lambda d: self.set_metric(d, "sweep_speedup", 0.995))
-        p = run(BENCH_DIFF, self.base, cur)
-        self.assertEqual(p.returncode, 0, p.stderr)
-
-    def test_cli_floor_overrides_baseline(self):
-        p = run(BENCH_DIFF, self.base, self.current(),
-                "--floor", "sweep_speedup=1.5")
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("FLOOR VIOLATION", p.stdout)
-
-    def test_cli_floor_on_duration_is_a_ceiling(self):
-        p = run(BENCH_DIFF, self.base, self.current(),
-                "--floor", "sweep_serial=1.0")
-        self.assertEqual(p.returncode, 1)
-        self.assertIn("ceiling", p.stdout)
-
-    def test_malformed_floor_spec_is_usage_error(self):
-        p = run(BENCH_DIFF, self.base, self.current(), "--floor", "nonsense")
-        self.assertEqual(p.returncode, 2)
-
-    def test_floored_metric_missing_from_current_warns(self):
-        def drop_speedup(doc):
-            doc["results"] = [r for r in doc["results"]
-                              if r["name"] != "sweep_speedup"]
-        p = run(BENCH_DIFF, self.base, self.current(mutate=drop_speedup))
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("floored metric 'sweep_speedup' missing", p.stdout)
-
-    def test_provenance_mismatch_warns_but_accepts(self):
-        p = run(BENCH_DIFF, self.base, self.current(build_type="Debug"))
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("provenance mismatch", p.stdout)
-
-    def test_unreadable_input_is_usage_error(self):
-        p = run(BENCH_DIFF, self.base,
-                os.path.join(self.tmp.name, "missing.json"))
-        self.assertNotEqual(p.returncode, 0)
-        self.assertIn("cannot read", p.stderr + p.stdout)
 
 
 VERIFY_DOC = {
@@ -528,17 +382,23 @@ print(json.dumps({"correct": cfg.get("correct", True), "attempted": 3,
 
 
 class PerfAbTest(unittest.TestCase):
-    def checkout(self, side, **cfg):
+    def checkout(self, side, bounds=None, **cfg):
+        """A stub checkout; `bounds` maps metric name to its BENCHMARK.json
+        bound (metrics left out have none and are not gated)."""
         root = os.path.join(self.tmp.name, side)
         os.makedirs(os.path.join(root, "perfbench"))
         with open(os.path.join(root, "perfbench", "run.py"), "w",
                   encoding="utf-8") as fh:
             fh.write(STUB_RUN)
         write_json(root, "stub.json", {"side": side, **cfg})
-        write_json(root, "BENCHMARK.json", {"end_to_end": [
+        declared = [
             {"name": "setup_s", "unit": "s", "better": "lower"},
             {"name": "work_per_s", "unit": "items/s", "better": "higher"},
-        ]})
+        ]
+        for spec in declared:
+            if bounds and spec["name"] in bounds:
+                spec["bound"] = bounds[spec["name"]]
+        write_json(root, "BENCHMARK.json", {"end_to_end": declared})
         return root
 
     def ab(self, parent, change, *extra, pairs="4", workloads=("w1",)):
@@ -670,6 +530,42 @@ class PerfAbTest(unittest.TestCase):
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
         self.assertTrue(p.stdout.startswith("workload w1"), p.stdout)
         self.assertIn("w2 change run 1 digests", p.stderr)
+
+    def test_regression_past_the_bound_fails(self):
+        # w1's change median 70 is 0.70x the parent's 100, past the 0.25
+        # bound; w2 still runs and prints its table.
+        bounds = {"work_per_s": 0.25, "setup_s": 0.25}
+        parent = self.checkout("parent", work=[100.0, 100.0, 100.0, 100.0])
+        change = self.checkout("change", bounds, work=[70.0, 70.0, 100.0,
+                                                      100.0])
+        p = self.ab(parent, change, pairs="2", workloads=("w1", "w2"))
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertEqual(len(p.stdout.split("\n\n")), 2, p.stdout)
+        lines = [l for l in p.stderr.splitlines() if "regression" in l]
+        self.assertEqual(len(lines), 1, p.stderr)
+        self.assertIn("regression in w1: work_per_s median 70", lines[0])
+        self.assertIn("0.700x; higher is better, bound 0.25", lines[0])
+
+    def test_regression_within_the_bound_passes(self):
+        bounds = {"work_per_s": 0.25, "setup_s": 0.25}
+        parent = self.checkout("parent", work=[100.0])
+        change = self.checkout("change", bounds, work=[76.0], setup=0.62)
+        p = self.ab(parent, change, pairs="3")
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertNotIn("regression", p.stderr)
+
+    def test_lower_is_better_regression_fails(self):
+        # setup_s 0.5 -> 0.65 is 1.3x, past a 0.25 bound in the lower
+        # direction; the higher-is-better work_per_s improved.
+        bounds = {"work_per_s": 0.25, "setup_s": 0.25}
+        parent = self.checkout("parent", work=[100.0], setup=0.5)
+        change = self.checkout("change", bounds, work=[150.0], setup=0.65)
+        p = self.ab(parent, change, pairs="2")
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("regression in w1: setup_s median 0.65 against the "
+                      "parent's 0.5 (1.300x; lower is better, bound 0.25)",
+                      p.stderr)
+        self.assertNotIn("work_per_s median", p.stderr)
 
     def test_bad_arguments_are_usage_errors(self):
         parent = self.checkout("parent", work=[100.0])
