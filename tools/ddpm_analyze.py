@@ -116,7 +116,7 @@ from pathlib import Path
 
 # Bump whenever extraction or the rule passes change meaning: the facts
 # cache (--facts-cache) keys on it, so stale pickles self-invalidate.
-TOOL_VERSION = "7"
+TOOL_VERSION = "8"
 
 RULES = (
     "ordered-iteration",
@@ -339,6 +339,7 @@ class FunctionInfo:
     calls: set = field(default_factory=set)  # simple callee names
     hot: bool = False    # definition head carries DDPM_HOT
     cold: bool = False   # definition head carries DDPM_COLD
+    owner: str = ""      # enclosing class qualified name: the member-table key
 
 
 @dataclass
@@ -495,7 +496,7 @@ def tokenize(clean: str):
 class _Scope:
     kind: str            # "namespace" | "class" | "function" | "block" | "enum"
     name: str = ""
-    qname: str = ""      # for functions
+    qname: str = ""      # functions and classes: namespaces + classes + name
     access: str = "public"
     hot: bool = False    # function head carried DDPM_HOT
     start_line: int = 0  # function head line (extent recording)
@@ -551,7 +552,8 @@ class TextualUnit:
         self._wrap_lines: set = set()
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.members: dict[str, dict[str, str]] = {}   # class -> name -> type
+        # qualified class (namespaces + enclosing classes) -> name -> type
+        self.members: dict[str, dict[str, str]] = {}
         self.aliases: dict[str, str] = {}   # `using X = ...Y<...>` -> "Y"
         # fn qname -> {(callee name, reached through `.`/`->`)}: the
         # candidates for a call through a callable object.
@@ -618,7 +620,7 @@ class TextualUnit:
         def cur_class() -> str:
             for sc in reversed(scopes):
                 if sc.kind == "class":
-                    return sc.name
+                    return sc.qname
                 if sc.kind == "function":
                     return ""
             return ""
@@ -734,22 +736,35 @@ class TextualUnit:
             if kw in words:
                 k = words.index(kw)
                 rest = words[k + 1:]
-                name = ""
-                for w in rest:
+                # The class name, with the classes an out-of-line
+                # definition (`class Outer::Inner {`) qualifies it by.
+                path: list = []
+                for m, w in enumerate(rest):
                     if re.match(r"[A-Za-z_]\w*$", w) and \
                             w not in ("final", "alignas", "DDPM_HOT_STATE"):
-                        name = w
-                        break
+                        path.append(w)
+                        if rest[m + 1:m + 2] != ["::"]:
+                            break
+                    elif w != "::" or not path:
+                        if path:
+                            break
                 # `struct X { ... } var;` and template specializations all
                 # land here; a trailing `(` would mean function-try etc.
-                if name:
+                if path:
+                    name = path[-1]
                     ci = self.classes.setdefault(
                         name, ClassInfo(name, self.rel,
                                         head[0].line if head else toks[brace_i].line))
                     ci.has_bases = ci.has_bases or ":" in rest
-                    self.members.setdefault(name, {})
+                    outer = next((sc.qname for sc in reversed(scopes)
+                                  if sc.kind == "class"), None)
+                    prefix = [outer] if outer else \
+                        [n for n in ns_stack if n != "<anon>"]
+                    qname = "::".join(prefix + path)
+                    self.members.setdefault(qname, {})
                     default_access = "private" if kw == "class" else "public"
-                    return _Scope("class", name, access=default_access)
+                    return _Scope("class", name, qname=qname,
+                                  access=default_access)
                 return _Scope("block")
 
         # function definition?  ... name ( params ) [quals] {
@@ -778,7 +793,7 @@ class TextualUnit:
             name_i, op_name = self._operator_head(head, open_paren)
             before = head[name_i].s
             if before not in CXX_KEYWORDS and re.match(r"[A-Za-z_~]", before):
-                qname, simple, cls = self._function_name(
+                qname, simple, cls, owner = self._function_name(
                     head, name_i, scopes, ns_stack, op_name)
                 if qname:
                     # Inline-bodied members never reach _handle_statement
@@ -788,7 +803,7 @@ class TextualUnit:
                         self._class_member_flags(
                             words, scopes[-1].name, scopes[-1].access)
                     fn = FunctionInfo(qname, simple, cls, self.rel,
-                                      head[open_paren - 1].line)
+                                      head[open_paren - 1].line, owner=owner)
                     fn_rec = self.functions.setdefault(qname, fn)
                     if HOT_FN_MACRO in words:
                         fn_rec.hot = True
@@ -856,22 +871,22 @@ class TextualUnit:
                 break
             break
         if not parts:
-            return "", "", ""
+            return "", "", "", ""
         parts.reverse()
         if name:
             parts[-1] = name
         simple = parts[-1]
         cls = parts[-2] if len(parts) > 1 else ""
-        encl_cls = ""
-        for sc in reversed(scopes):
-            if sc.kind == "class":
-                encl_cls = sc.name
-                break
-        if not cls and encl_cls:
-            cls = encl_cls
-            parts = [encl_cls] + parts
-        q = "::".join([n for n in ns_stack if n != "<anon>"] + parts)
-        return q, simple, cls
+        encl = next((sc for sc in reversed(scopes) if sc.kind == "class"), None)
+        if encl is not None:
+            # Inline member: the enclosing class's qualified name leads.
+            if not cls:
+                cls = encl.name
+            q = "::".join([encl.qname] + parts)
+        else:
+            q = "::".join([n for n in ns_stack if n != "<anon>"] + parts)
+        owner = q.rsplit("::", 1)[0] if cls else ""
+        return q, simple, cls, owner
 
     def _parse_params(self, ptoks, fn_qname: str) -> None:
         if not ptoks:
@@ -979,6 +994,7 @@ class TextualUnit:
             self._record_alias(words)
         if in_class:
             cls = scopes[-1].name
+            cls_key = scopes[-1].qname
             access = scopes[-1].access
             self._class_member_flags(words, cls, access)
             self._harvest_annotations(words, cls=cls)
@@ -997,7 +1013,7 @@ class TextualUnit:
                                                 "constexpr", "inline", "std")]
                     if decl_names:
                         var = decl_names[-1]
-                        self.members.setdefault(cls, {})[var] = " ".join(decl_words)
+                        self.members.setdefault(cls_key, {})[var] = " ".join(decl_words)
                         if SHARD_STATE_MACRO in decl_words:
                             self.shard_states.append((cls, var, line))
             # static data member (shared mutable state)
@@ -1262,10 +1278,10 @@ class _ReResolve:
                 close = unit._match_forward(i + 1, "(", ")")
                 fn = next((sc.qname for sc in reversed(scopes)
                            if sc.kind == "function"), "")
-                cls = next((sc.name for sc in reversed(scopes)
+                cls = next((sc.qname for sc in reversed(scopes)
                             if sc.kind == "class"), "")
                 if not cls and fn:
-                    cls = self.u.functions.get(fn).cls if fn in self.u.functions else ""
+                    cls = self.u.functions[fn].owner if fn in self.u.functions else ""
                 saved = unit.sites
                 unit.sites = []
                 unit._handle_for(toks[i].line, toks[i + 2:close], fn, cls)
@@ -1386,7 +1402,8 @@ def merged_functions(units: list) -> dict:
                 fns[q].cold = fns[q].cold or fi.cold
             else:
                 fns[q] = FunctionInfo(fi.qname, fi.name, fi.cls, fi.file,
-                                      fi.line, set(fi.calls), fi.hot, fi.cold)
+                                      fi.line, set(fi.calls), fi.hot, fi.cold,
+                                      fi.owner)
     link_operator_calls(units, fns)
     return fns
 
@@ -1420,7 +1437,7 @@ def link_operator_calls(units: list, fns: dict) -> None:
                              if name in mm}
                 else:
                     ty = u._local_types.get((qname, name)) or \
-                        u.members.get(fi.cls, {}).get(name)
+                        u.members.get(fi.owner, {}).get(name)
                     types = {ty} if ty else set()
                 for ty in types:
                     words = ty.split()
@@ -1496,7 +1513,7 @@ def hot_pass_sites(units: list) -> list:
             if t:
                 return t
             fi = u.functions.get(qname)
-            cls = fi.cls if fi else ""
+            cls = fi.owner if fi else ""
             if cls and recv in u.members.get(cls, {}):
                 return u.members[cls][recv]
             hits = {u.members[c][recv] for c in u.members
@@ -1759,7 +1776,7 @@ def dataflow_pass_sites(units: list) -> list:
             continue
         for qname, start, end in u.fn_extents:
             fi = fns.get(qname)
-            fcls = fi.cls if fi else ""
+            fcls = fi.owner if fi else ""
             for n in range(start, min(end, len(u.clean_lines)) + 1):
                 lt = u.clean_lines[n - 1]
                 if not TICK_MIX_OP_RE.search(lt):
