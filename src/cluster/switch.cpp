@@ -82,7 +82,8 @@ Switch::Switch(NodeId id, Env* env, netsim::Rng rng)
   if (env_->registry != nullptr) {
     DDPM_CHECK(env_->port_labels != nullptr,
                "a switch with a registry needs the network's port labels");
-    probes_.bind(*env_->registry, id_, *env_->port_labels);
+    probes_.bind(*env_->registry, id_, env_->topo->num_nodes(),
+                 *env_->port_labels);
   }
 }
 

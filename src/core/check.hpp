@@ -12,6 +12,8 @@
 //   DDPM_DCHECK(cond)        debug/sanitizer builds only; compiled out under
 //                            NDEBUG (overridable with DDPM_ENABLE_DCHECKS).
 //                            For per-element checks on hot paths.
+//   DDPM_CHECK_MSG(cond, m)  DDPM_CHECK with a message built at run time
+//                            (`m.c_str()`), for cold registration checks.
 //   DDPM_UNREACHABLE(msg)    marks impossible control flow; always fatal.
 //
 // Both CHECK forms accept an optional string-literal message:
@@ -55,6 +57,16 @@ namespace ddpm::core::detail {
        ? static_cast<void>(0)                                            \
        : ::ddpm::core::detail::contract_failure(                         \
              "DDPM_CHECK", #cond, "" __VA_ARGS__, __FILE__, __LINE__))
+
+// DDPM_CHECK_MSG(cond, message) is the form for a cold check whose message
+// must name run-time values (a key, a shape): `message` is any expression
+// with `.c_str()`, such as a std::string, and is built only on failure, so
+// this form may allocate on its way to the abort.
+#define DDPM_CHECK_MSG(cond, message)                                    \
+  (static_cast<bool>(cond)                                               \
+       ? static_cast<void>(0)                                            \
+       : ::ddpm::core::detail::contract_failure(                         \
+             "DDPM_CHECK", #cond, (message).c_str(), __FILE__, __LINE__))
 
 #ifndef DDPM_ENABLE_DCHECKS
 #ifdef NDEBUG

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/sis.hpp"
 #include "telemetry/probes.hpp"
@@ -59,30 +61,32 @@ TEST(Registry, GaugeTracksValueAndPeak) {
 
 TEST(Registry, HistogramBinsAndSaturation) {
   Registry reg;
-  HistogramHandle h = reg.histogram("lat", {}, 0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(42.0);
+  HistogramHandle h = reg.histogram("lat", {}, 10);
+  h.add(0);
+  h.add(9);
+  h.add(10);  // the first sample past the last unit bin
+  h.add(42);
   const MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
   const auto& e = snap.histograms[0];
+  EXPECT_DOUBLE_EQ(e.lo, 0.0);
+  EXPECT_DOUBLE_EQ(e.hi, 10.0);
   EXPECT_EQ(e.total, 4u);
-  EXPECT_EQ(e.underflow, 1u);
-  EXPECT_EQ(e.overflow, 1u);
+  EXPECT_EQ(e.underflow, 0u);
+  EXPECT_EQ(e.overflow, 2u);
   EXPECT_EQ(e.bins[0], 1u);
   EXPECT_EQ(e.bins[9], 1u);
-  EXPECT_DOUBLE_EQ(e.sum, 51.0);
+  EXPECT_DOUBLE_EQ(e.sum, 61.0);
 }
 
 TEST(Registry, DisabledRegistryIsInert) {
   Registry reg(false);
   Counter c = reg.counter("a");
   Gauge g = reg.gauge("b");
-  HistogramHandle h = reg.histogram("c", {}, 0.0, 1.0, 4);
+  HistogramHandle h = reg.histogram("c", {}, 4);
   c.inc(100);
   g.set(5.0);
-  h.add(0.5);
+  h.add(2);
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().empty());
 }
@@ -93,7 +97,7 @@ TEST(Registry, DefaultConstructedHandlesAreInert) {
   HistogramHandle h;
   c.inc();   // must not crash
   g.set(1.0);
-  h.add(1.0);
+  h.add(1);
 }
 
 TEST(Registry, ResetZeroesButKeepsRegistrations) {
@@ -116,6 +120,105 @@ TEST(Registry, SnapshotSortedByKey) {
   EXPECT_EQ(snap.counters[0].key, "alpha");
   EXPECT_EQ(snap.counters[1].key, "mid{switch=1}");
   EXPECT_EQ(snap.counters[2].key, "zeta");
+}
+
+// ---------------------------------------------------------------- families
+
+TEST(Families, RowsCountIntoFlatCellsKeyedOnlyAtSnapshot) {
+  Registry reg;
+  const std::vector<std::string> ports = {"-x", "+x"};
+  std::uint64_t* row = reg.counter_family("link.tx", 12, ports).bind(10);
+  ASSERT_NE(row, nullptr);
+  row[0] += 3;  // port -x
+  row[1] += 5;  // port +x
+  Counter(reg.counter_family("local", 12).bind(2)).inc(7);
+  HistogramHandle depth = reg.histogram_family("depth", 12, 4).bind(1);
+  depth.add(2);
+  depth.add(9);  // overflow
+  EXPECT_EQ(reg.size(), 4u);
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("link.tx{switch=10,port=-x}"), 3u);
+  EXPECT_EQ(snap.counter_value("link.tx{switch=10,port=+x}"), 5u);
+  EXPECT_EQ(snap.counter_value("local{switch=2}"), 7u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const auto& h = snap.histograms[0];
+  EXPECT_EQ(h.key, "depth{switch=1}");
+  EXPECT_DOUBLE_EQ(h.hi, 4.0);
+  EXPECT_EQ(h.bins, (std::vector<std::uint64_t>{0, 0, 1, 0}));
+  EXPECT_EQ(h.overflow, 1u);
+  EXPECT_EQ(h.total, 2u);
+  EXPECT_DOUBLE_EQ(h.sum, 11.0);
+}
+
+TEST(Families, KeysComeOutInStringOrderAmongNamedSeries) {
+  Registry reg;
+  // `link.tx{` sorts after `link.tx_bytes{` (`{` > `_`), `d10}` before
+  // `d1}`, `switch=10}` before `switch=1}` and `switch=1,` before
+  // `switch=10,`.
+  const std::vector<std::string> ports = {"d1", "d10", "d0"};
+  const CounterFamily tx = reg.counter_family("link.tx", 11, ports);
+  const CounterFamily bytes = reg.counter_family("link.tx_bytes", 11);
+  for (const std::uint32_t sw : {10u, 1u, 0u}) {
+    tx.bind(sw);
+    bytes.bind(sw);
+  }
+  reg.counter("link.tx", "switch=1,port=c");  // a named series among them
+  reg.counter("link.a");
+  std::vector<std::string> keys;
+  for (const auto& c : reg.snapshot().counters) keys.push_back(c.key);
+  std::vector<std::string> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(keys, sorted);
+  EXPECT_EQ(keys.size(), 1u + 3u + 9u + 1u);
+  EXPECT_EQ(keys[1], "link.tx_bytes{switch=0}");
+  EXPECT_EQ(keys[2], "link.tx_bytes{switch=10}");
+  EXPECT_EQ(keys[3], "link.tx_bytes{switch=1}");
+}
+
+TEST(Families, FoundByNameResetAndDisabled) {
+  Registry reg;
+  std::uint64_t* a = reg.counter_family("f", 3).bind(1);
+  std::uint64_t* b = reg.counter_family("f", 3).bind(1);
+  EXPECT_EQ(a, b);
+  *a = 9;
+  reg.reset();
+  EXPECT_EQ(reg.snapshot().counter_value("f{switch=1}"), 0u);
+  EXPECT_EQ(reg.size(), 1u);  // unbound rows are not series
+
+  Registry off(false);
+  EXPECT_EQ(off.counter_family("f", 3).bind(1), nullptr);
+  off.histogram_family("h", 3, 8).bind(0).add(1);  // inert
+  EXPECT_EQ(off.size(), 0u);
+  EXPECT_TRUE(off.snapshot().empty());
+}
+
+TEST(RegistryDeathTest, HistogramRegisteredAgainWithAnotherShapeIsFatal) {
+  Registry reg;
+  reg.histogram("lat", "a=1", 10);
+  reg.histogram("lat", "a=1", 10);  // the same shape: the same slot
+  EXPECT_DEATH(reg.histogram("lat", "a=1", 20),
+               "'lat.a=1.' registered over .0, 10. in unit bins, again over "
+               ".0, 20. in unit bins");
+}
+
+TEST(RegistryDeathTest, FamilyRegisteredAgainWithAnotherShapeIsFatal) {
+  Registry reg;
+  const std::vector<std::string> ports = {"-x", "+x"};
+  reg.counter_family("link.tx", 4, ports);
+  reg.histogram_family("depth", 4, 64);
+  EXPECT_DEATH(reg.counter_family("link.tx", 5, ports),
+               "'link.tx' registered as a counter family over 4 switches and "
+               "ports -x .x, again as a counter family over 5 switches");
+  EXPECT_DEATH(reg.counter_family("link.tx", 4, {"-y", "+y"}),
+               "again as a counter family over 4 switches and ports -y .y");
+  EXPECT_DEATH(reg.counter_family("link.tx", 4), "link.tx");
+  EXPECT_DEATH(reg.histogram_family("depth", 4, 32),
+               "'depth' registered as a histogram family over 4 switches, "
+               ".0, 64. in unit bins, again as a histogram family over 4 "
+               "switches, .0, 32.");
+  EXPECT_DEATH(reg.counter_family("depth", 4), "again as a counter family");
+  EXPECT_DEATH(reg.counter_family("link.tx", 4, ports).bind(4),
+               "past the family's switch count");
 }
 
 // ---------------------------------------------------------------- snapshot
@@ -153,7 +256,7 @@ TEST(Snapshot, MergeDisjointSnapshotsInsertsSorted) {
   a.counter("z.last").inc(9);
   b.counter("a.first").inc(4);
   b.counter("m", "switch=1").inc(2);
-  b.histogram("h", {}, 0.0, 4.0, 4).add(1.0);
+  b.histogram("h", {}, 4).add(1);
   MetricsSnapshot merged = a.snapshot();
   merged.merge(b.snapshot());
   ASSERT_EQ(merged.counters.size(), 4u);
@@ -173,8 +276,8 @@ TEST(Snapshot, MergeDisjointSnapshotsInsertsSorted) {
 
 TEST(Snapshot, MergeHistogramBinsAdd) {
   Registry a, b;
-  a.histogram("h", {}, 0.0, 10.0, 10).add(1.5);
-  b.histogram("h", {}, 0.0, 10.0, 10).add(1.7);
+  a.histogram("h", {}, 10).add(1);
+  b.histogram("h", {}, 10).add(1);
   MetricsSnapshot merged = a.snapshot();
   merged.merge(b.snapshot());
   ASSERT_EQ(merged.histograms.size(), 1u);
@@ -186,7 +289,7 @@ TEST(Snapshot, JsonAndCsvAreStableAndParseable) {
   Registry reg;
   reg.counter("a").inc(1);
   reg.gauge("b").set(2.5);
-  reg.histogram("c", {}, 0.0, 2.0, 2).add(0.5);
+  reg.histogram("c", {}, 2).add(0);
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.to_json(), snap.to_json());  // deterministic
   const std::string csv = snap.to_csv();

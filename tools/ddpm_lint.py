@@ -66,8 +66,9 @@ clang-tidy knows about (registered as the `repo_lint` ctest):
                      repo invariant, not a convention.
  12. series-documented
                      every literal series name src/ passes to a
-                     registry's counter(/gauge(/histogram( has a row in
-                     the series catalogue of docs/OBSERVABILITY.md, and
+                     registry's counter(/gauge(/histogram( or to a
+                     family's counter_family(/histogram_family( has a row
+                     in the series catalogue of docs/OBSERVABILITY.md, and
                      every catalogue row names a series src/ still
                      registers. Only `registry` receivers count:
                      `tracer->counter(...)` is a trace track, not a
@@ -386,11 +387,13 @@ def check_required_docs(root: Path) -> list[Violation]:
     return out
 
 
-# Rule 12: `registry->counter("name"`, `registry_.gauge("name"`, ... The
-# name may sit on the line after the call's open parenthesis.
+# Rule 12: `registry->counter("name"`, `registry_.gauge("name"`, ... and
+# the dense families, `registry.counter_family("name"` and
+# `registry.histogram_family("name"`. The name may sit on the line after
+# the call's open parenthesis.
 REGISTRY_SERIES = re.compile(
-    r"\bregistry_?\s*(?:->|\.)\s*(?:counter|gauge|histogram)\s*\(\s*"
-    r'"([^"]+)"')
+    r"\bregistry_?\s*(?:->|\.)\s*(?:counter|gauge|histogram)(?:_family)?"
+    r'\s*\(\s*"([^"]+)"')
 SERIES_CATALOGUE = "docs/OBSERVABILITY.md"
 CATALOGUE_HEADING = "## Series catalogue"
 CATALOGUE_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")

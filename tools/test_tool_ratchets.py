@@ -308,6 +308,15 @@ void bind(Registry* registry, Tracer* tracer) {
 """
 
 
+FAMILY_SOURCE = """\
+void bind(Registry& registry, std::uint32_t sw, std::uint32_t n) {
+  a_ = registry.histogram_family("x.per_switch", n, 64).bind(sw);
+  b_ = registry.counter_family(
+      "x.per_port", n, labels).bind(sw);
+}
+"""
+
+
 class LintSeriesDocumentedTest(unittest.TestCase):
     """ddpm_lint's series-documented rule over a temporary tree: a series
     registered without a catalogue row and a row without a series both
@@ -349,6 +358,22 @@ class LintSeriesDocumentedTest(unittest.TestCase):
         self.catalogue("x.one", "x.two")
         p = run(LINT, self.tmp.name)
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+
+    def test_an_undocumented_family_is_flagged(self):
+        self.write("src/b.cpp", FAMILY_SOURCE)
+        self.catalogue("x.one", "x.two", "x.per_switch")
+        p = run(LINT, self.tmp.name)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("src/b.cpp:3: [series-documented] series "
+                      "'x.per_port'", p.stdout)
+        self.assertNotIn("'x.per_switch'", p.stdout)
+
+    def test_a_documented_family_is_not_stale(self):
+        self.write("src/b.cpp", FAMILY_SOURCE)
+        self.catalogue("x.one", "x.two", "x.per_switch", "x.per_port")
+        p = run(LINT, self.tmp.name)
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertNotIn("no longer registers", p.stdout)
 
 
 # A stand-in for perfbench/run.py: logs its side and arguments, then prints
