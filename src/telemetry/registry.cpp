@@ -11,20 +11,26 @@ namespace ddpm::telemetry {
 
 namespace {
 
+using detail::Series;
+using detail::SeriesKind;
+
 DDPM_COLD std::string histogram_shape(std::size_t bins) {
   return "[0, " + std::to_string(bins) + ") in unit bins";
 }
 
-DDPM_COLD std::string family_shape(bool histogram, std::uint32_t switches,
-                                   const std::vector<std::string>& ports,
-                                   std::size_t bins) {
-  std::string shape =
-      histogram ? "histogram family over " : "counter family over ";
-  shape += std::to_string(switches);
-  shape += " switches";
-  if (histogram) {
-    shape += ", ";
-    shape += histogram_shape(bins);
+/// "counter", "histogram over [0, 8) in unit bins", "counter family over
+/// 4 switches and ports -x +x", ...
+DDPM_COLD std::string shape(SeriesKind kind, bool family, std::uint32_t rows,
+                            const std::vector<std::string>& ports,
+                            std::size_t bins) {
+  std::string shape = kind == SeriesKind::kCounter ? "counter"
+                      : kind == SeriesKind::kGauge ? "gauge"
+                                                   : "histogram";
+  if (family) {
+    shape += " family over " + std::to_string(rows) + " switches";
+    if (kind == SeriesKind::kHistogram) shape += ", " + histogram_shape(bins);
+  } else if (kind == SeriesKind::kHistogram) {
+    shape += " over " + histogram_shape(bins);
   }
   if (!ports.empty()) {
     shape += " and ports";
@@ -34,6 +40,19 @@ DDPM_COLD std::string family_shape(bool histogram, std::uint32_t switches,
     }
   }
   return shape;
+}
+
+constexpr std::string_view kSwitchLabel = "{switch=";
+
+/// A record's name in messages: a scalar's key, a family's name.
+std::string_view shown_name(const Series& s) {
+  const std::string_view head = s.head;
+  return s.family ? head.substr(0, head.size() - kSwitchLabel.size()) : head;
+}
+
+/// The series `s` exports: a counter row holds one per port label.
+std::size_t exported(const Series& s) {
+  return s.bound_rows * (s.kind == SeriesKind::kCounter ? s.width : 1);
 }
 
 /// One snapshot entry from a HistogramHandle's cells.
@@ -49,6 +68,24 @@ MetricsSnapshot::HistogramEntry histogram_entry(std::string key,
   for (const std::uint64_t n : e.bins) e.total += n;
   e.sum = double(cells[bins + 1]);
   return e;
+}
+
+/// Appends row `row` of `s` as the one series `key` (a row of port
+/// counters is emit_family's).
+void emit_row(const Series& s, std::string key, const std::uint64_t* row,
+              MetricsSnapshot& snap) {
+  switch (s.kind) {
+    case SeriesKind::kCounter:
+      snap.counters.push_back({std::move(key), row[0]});
+      break;
+    case SeriesKind::kGauge:
+      snap.gauges.push_back({std::move(key), std::bit_cast<double>(row[0]),
+                             std::bit_cast<double>(row[1])});
+      break;
+    case SeriesKind::kHistogram:
+      snap.histograms.push_back(histogram_entry(std::move(key), row, s.bins));
+      break;
+  }
 }
 
 /// Calls `emit(id, digits)` for each id in [0, n) in the order of the
@@ -79,34 +116,29 @@ void for_each_id_in_key_order(std::uint32_t n, char end, Emit emit) {
   }
 }
 
-/// Appends the bound rows of `f` in key order.
-void emit_family(const detail::SeriesFamily& f,
-                 std::vector<MetricsSnapshot::CounterEntry>& counters,
-                 std::vector<MetricsSnapshot::HistogramEntry>& histograms) {
+/// Appends the bound rows of family `f` in key order.
+void emit_family(const Series& f, MetricsSnapshot& snap) {
   std::string key = f.head;
   const std::size_t head = key.size();
   const char end = f.ports.empty() ? '}' : ',';
-  for_each_id_in_key_order(f.switches, end, [&](std::uint64_t id,
-                                                const std::string& digits) {
+  for_each_id_in_key_order(f.rows, end, [&](std::uint64_t id,
+                                            const std::string& digits) {
     if (!f.bound[id]) return;
     const std::uint64_t* row = f.cells.data() + id * f.width;
     key.resize(head);
     key += digits;
-    if (f.histogram) {
+    if (f.ports.empty()) {
       key += '}';
-      histograms.push_back(histogram_entry(key, row, f.bins));
-    } else if (f.ports.empty()) {
+      emit_row(f, key, row, snap);
+      return;
+    }
+    key += ",port=";
+    const std::size_t tail = key.size();
+    for (const std::size_t p : f.port_order) {
+      key.resize(tail);
+      key += f.ports[p];
       key += '}';
-      counters.push_back({key, row[0]});
-    } else {
-      key += ",port=";
-      const std::size_t tail = key.size();
-      for (const std::size_t p : f.port_order) {
-        key.resize(tail);
-        key += f.ports[p];
-        key += '}';
-        counters.push_back({key, row[p]});
-      }
+      snap.counters.push_back({key, row[p]});
     }
   });
 }
@@ -121,8 +153,8 @@ bool strictly_sorted(const std::vector<Entry>& entries) {
 
 }  // namespace
 
-std::uint64_t* detail::SeriesFamily::bind(std::uint32_t sw) {
-  DDPM_CHECK(sw < switches, "a switch id past the family's switch count");
+std::uint64_t* detail::Series::bind(std::uint32_t sw) {
+  DDPM_CHECK(sw < rows, "a switch id past the family's switch count");
   if (!bound[sw]) {
     bound[sw] = true;
     ++bound_rows;
@@ -140,27 +172,62 @@ std::string Registry::make_key(std::string_view name, std::string_view labels) {
   return key;
 }
 
-template <typename SlotT>
-SlotT* Registry::find_or_create(
-    std::deque<std::pair<std::string, SlotT>>& slots,
-    std::unordered_map<std::string, SlotT*>& index, std::string key) {
-  const auto it = index.find(key);
-  if (it != index.end()) return it->second;
-  slots.emplace_back(std::move(key), SlotT{});
-  SlotT* slot = &slots.back().second;
-  index.emplace(slots.back().first, slot);
-  return slot;
+Series* Registry::series(std::string_view head, SeriesKind kind, bool family,
+                         std::uint32_t rows,
+                         const std::vector<std::string>& ports,
+                         std::size_t bins) {
+  if (const auto it = by_head_.find(head); it != by_head_.end()) {
+    Series& s = *it->second;
+    DDPM_CHECK_MSG(s.kind == kind && s.family == family && s.rows == rows &&
+                       s.ports == ports && s.bins == bins,
+                   "'" + std::string(shown_name(s)) + "' registered as a " +
+                       shape(s.kind, s.family, s.rows, s.ports, s.bins) +
+                       ", again as a " +
+                       shape(kind, family, rows, ports, bins));
+    return &s;
+  }
+  Series& s = series_.emplace_back();
+  s.kind = kind;
+  s.family = family;
+  s.head = head;
+  s.rows = rows;
+  s.ports = ports;
+  s.bins = bins;
+  s.width = kind == SeriesKind::kHistogram ? bins + 2
+            : kind == SeriesKind::kGauge
+                ? 2
+                : std::max<std::size_t>(ports.size(), 1);
+  s.cells.assign(std::size_t(rows) * s.width, 0);
+  s.bound.assign(rows, !family);  // a scalar's row is bound from the start
+  s.bound_rows = family ? 0 : 1;
+  // Ports in the order of their keys' tails (`d10}` before `d1}`).
+  s.port_order.resize(ports.size());
+  std::iota(s.port_order.begin(), s.port_order.end(), std::size_t{0});
+  std::sort(s.port_order.begin(), s.port_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return ports[a] + '}' < ports[b] + '}';
+            });
+  by_head_.emplace(s.head, &s);
+  return &s;
+}
+
+// Registration runs during model construction, never in steady state; a
+// hot probe's `tracer_->counter()` only shares the name of `counter()`.
+DDPM_COLD std::uint64_t* Registry::scalar(std::string_view name,
+                                          std::string_view labels,
+                                          SeriesKind kind, std::size_t bins) {
+  const std::string key = make_key(name, labels);
+  return series(key, kind, false, 1, {}, bins)->cells.data();
 }
 
 Counter Registry::counter(std::string_view name, std::string_view labels) {
   if (!enabled_) return Counter{};
-  return Counter(
-      find_or_create(counters_, counter_index_, make_key(name, labels)));
+  return Counter(scalar(name, labels, SeriesKind::kCounter, 0));
 }
 
 Gauge Registry::gauge(std::string_view name, std::string_view labels) {
   if (!enabled_) return Gauge{};
-  return Gauge(find_or_create(gauges_, gauge_index_, make_key(name, labels)));
+  return Gauge(scalar(name, labels, SeriesKind::kGauge, 0));
 }
 
 HistogramHandle Registry::histogram(std::string_view name,
@@ -168,71 +235,17 @@ HistogramHandle Registry::histogram(std::string_view name,
                                     std::size_t bins) {
   DDPM_CHECK(bins > 0, "a histogram needs at least one bin");
   if (!enabled_) return HistogramHandle{};
-  auto* slot = find_or_create(histograms_, histogram_index_,
-                              make_key(name, labels));
-  if (slot->cells.empty()) {
-    slot->bins = bins;
-    slot->cells.assign(bins + 2, 0);
-  }
-  DDPM_CHECK_MSG(slot->bins == bins,
-                 "histogram '" + make_key(name, labels) +
-                     "' registered over " + histogram_shape(slot->bins) +
-                     ", again over " + histogram_shape(bins));
-  return HistogramHandle(slot->cells.data(), bins);
-}
-
-detail::SeriesFamily* Registry::family(std::string_view name, bool histogram,
-                                       std::uint32_t switches,
-                                       const std::vector<std::string>& ports,
-                                       std::size_t bins) {
-  // A network has a handful of families, and every switch looks each one
-  // up: a scan by name beats a binary search over so few.
-  for (detail::SeriesFamily* f : families_in_key_order_) {
-    if (f->name != name) continue;
-    DDPM_CHECK_MSG(f->histogram == histogram && f->switches == switches &&
-                       f->ports == ports && f->bins == bins,
-                   "'" + f->name + "' registered as a " +
-                       family_shape(f->histogram, f->switches, f->ports,
-                                    f->bins) +
-                       ", again as a " +
-                       family_shape(histogram, switches, ports, bins));
-    return f;
-  }
-  detail::SeriesFamily& f = families_.emplace_back();
-  f.name = name;
-  f.head = f.name + "{switch=";
-  f.histogram = histogram;
-  f.switches = switches;
-  f.ports = ports;
-  f.bins = bins;
-  f.width = histogram ? bins + 2 : std::max<std::size_t>(ports.size(), 1);
-  f.cells.assign(std::size_t(switches) * f.width, 0);
-  f.bound.assign(switches, false);
-  // Key order, fixed here once: ports by their keys' tails (`d10}`
-  // before `d1}`), families by their keys' heads (`link.tx_bytes{` before
-  // `link.tx{`, as `_` sorts before `{`).
-  std::vector<std::string> tails;
-  for (const std::string& port : ports) tails.push_back(port + '}');
-  f.port_order.resize(ports.size());
-  std::iota(f.port_order.begin(), f.port_order.end(), std::size_t{0});
-  std::sort(f.port_order.begin(), f.port_order.end(),
-            [&](std::size_t a, std::size_t b) { return tails[a] < tails[b]; });
-  const auto by_head = [](const detail::SeriesFamily* a,
-                          const detail::SeriesFamily* b) {
-    return a->head < b->head;
-  };
-  families_in_key_order_.insert(
-      std::upper_bound(families_in_key_order_.begin(),
-                       families_in_key_order_.end(), &f, by_head),
-      &f);
-  return &f;
+  return HistogramHandle(scalar(name, labels, SeriesKind::kHistogram, bins),
+                         bins);
 }
 
 CounterFamily Registry::counter_family(std::string_view name,
                                        std::uint32_t switches,
                                        const std::vector<std::string>& ports) {
   if (!enabled_) return CounterFamily{};
-  return CounterFamily(family(name, false, switches, ports, 0));
+  head_.assign(name).append(kSwitchLabel);
+  return CounterFamily(
+      series(head_, SeriesKind::kCounter, true, switches, ports, 0));
 }
 
 HistogramFamily Registry::histogram_family(std::string_view name,
@@ -240,57 +253,48 @@ HistogramFamily Registry::histogram_family(std::string_view name,
                                            std::size_t bins) {
   DDPM_CHECK(bins > 0, "a histogram needs at least one bin");
   if (!enabled_) return HistogramFamily{};
-  return HistogramFamily(family(name, true, switches, {}, bins));
+  head_.assign(name).append(kSwitchLabel);
+  return HistogramFamily(
+      series(head_, SeriesKind::kHistogram, true, switches, {}, bins));
 }
 
 std::size_t Registry::size() const {
-  std::size_t n = counters_.size() + gauges_.size() + histograms_.size();
-  for (const detail::SeriesFamily& f : families_) {
-    n += f.bound_rows * (f.histogram ? 1 : f.width);
-  }
+  std::size_t n = 0;
+  for (const Series& s : series_) n += exported(s);
   return n;
 }
 
 MetricsSnapshot Registry::snapshot() const {
+  std::vector<const Series*> by_head;
+  by_head.reserve(series_.size());
+  std::size_t rows[3] = {};
+  for (const Series& s : series_) {
+    by_head.push_back(&s);
+    rows[std::size_t(s.kind)] += exported(s);
+  }
+  std::sort(by_head.begin(), by_head.end(),
+            [](const Series* a, const Series* b) { return a->head < b->head; });
   MetricsSnapshot snap;
-  std::size_t family_counters = 0;
-  std::size_t family_histograms = 0;
-  for (const detail::SeriesFamily& f : families_) {
-    if (f.histogram) {
-      family_histograms += f.bound_rows;
-    } else {
-      family_counters += f.bound_rows * f.width;
-    }
+  snap.counters.reserve(rows[std::size_t(SeriesKind::kCounter)]);
+  snap.gauges.reserve(rows[std::size_t(SeriesKind::kGauge)]);
+  snap.histograms.reserve(rows[std::size_t(SeriesKind::kHistogram)]);
+  // A scalar's key is its head, so the scalars come out as one sorted run
+  // per kind. The families follow, each already in key order and in the
+  // order of their heads; one linear merge per kind places them.
+  for (const Series* s : by_head) {
+    if (!s->family) emit_row(*s, s->head, s->cells.data(), snap);
   }
-  snap.counters.reserve(counters_.size() + family_counters);
-  for (const auto& [key, value] : counters_) {
-    snap.counters.push_back({key, value});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [key, slot] : gauges_) {
-    snap.gauges.push_back({key, slot.value, slot.peak});
-  }
-  snap.histograms.reserve(histograms_.size() + family_histograms);
-  for (const auto& [key, slot] : histograms_) {
-    snap.histograms.push_back(
-        histogram_entry(key, slot.cells.data(), slot.bins));
+  const auto scalar_counters = std::ptrdiff_t(snap.counters.size());
+  const auto scalar_histograms = std::ptrdiff_t(snap.histograms.size());
+  for (const Series* s : by_head) {
+    if (s->family) emit_family(*s, snap);
   }
   const auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_key);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_key);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_key);
-  // The families arrive already in key order, one name after another;
-  // one linear merge places them among the named series.
-  const auto named_counters = std::ptrdiff_t(snap.counters.size());
-  const auto named_histograms = std::ptrdiff_t(snap.histograms.size());
-  for (const detail::SeriesFamily* f : families_in_key_order_) {
-    emit_family(*f, snap.counters, snap.histograms);
-  }
   std::inplace_merge(snap.counters.begin(),
-                     snap.counters.begin() + named_counters,
+                     snap.counters.begin() + scalar_counters,
                      snap.counters.end(), by_key);
   std::inplace_merge(snap.histograms.begin(),
-                     snap.histograms.begin() + named_histograms,
+                     snap.histograms.begin() + scalar_histograms,
                      snap.histograms.end(), by_key);
   DDPM_DCHECK(strictly_sorted(snap.counters) && strictly_sorted(snap.gauges) &&
                   strictly_sorted(snap.histograms),
@@ -299,13 +303,8 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  for (auto& [key, value] : counters_) value = 0;
-  for (auto& [key, slot] : gauges_) slot = Gauge::Slot{};
-  for (auto& [key, slot] : histograms_) {
-    std::fill(slot.cells.begin(), slot.cells.end(), std::uint64_t{0});
-  }
-  for (detail::SeriesFamily& f : families_) {
-    std::fill(f.cells.begin(), f.cells.end(), std::uint64_t{0});
+  for (Series& s : series_) {
+    std::fill(s.cells.begin(), s.cells.end(), std::uint64_t{0});
   }
 }
 
@@ -404,14 +403,17 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   });
   merge_sorted(histograms, other.histograms,
                [](HistogramEntry& a, const HistogramEntry& b) {
+                 DDPM_CHECK_MSG(a.bins.size() == b.bins.size(),
+                                "histogram '" + a.key + "' over " +
+                                    histogram_shape(a.bins.size()) +
+                                    " merged with one over " +
+                                    histogram_shape(b.bins.size()));
                  a.underflow += b.underflow;
                  a.overflow += b.overflow;
                  a.total += b.total;
                  a.sum += b.sum;
-                 if (a.bins.size() == b.bins.size()) {
-                   for (std::size_t i = 0; i < a.bins.size(); ++i) {
-                     a.bins[i] += b.bins[i];
-                   }
+                 for (std::size_t i = 0; i < a.bins.size(); ++i) {
+                   a.bins[i] += b.bins[i];
                  }
                });
 }

@@ -2,24 +2,27 @@
 // fixed-cost handles.
 //
 // Design contract (docs/OBSERVABILITY.md):
-//   * Registration (`counter()` / `gauge()` / `histogram()`) happens during
-//     model construction. It formats a key, deduplicates it, and hands back
-//     a handle holding a raw slot pointer.
-//   * Per-switch and per-port series are dense families
-//     (`counter_family()` / `histogram_family()`): registered once by name
-//     with their label values, they count into one flat `uint64_t` array,
-//     and each switch binds its row. No key string exists for a family
-//     cell until `snapshot()` builds it.
+//   * One store: every series is a `detail::Series` record in one deque,
+//     found by its key head in one index. A scalar series (`counter()` /
+//     `gauge()` / `histogram()`) is a record of one row whose key
+//     `name{labels}` is fixed at registration. A dense family
+//     (`counter_family()` / `histogram_family()`) is a record of one row
+//     per switch id, counted in one flat `uint64_t` array; each switch
+//     binds its row, and no key string exists for a family row until
+//     `snapshot()` builds it. Registration happens during model
+//     construction; one key registered again with another kind or shape
+//     is a DDPM_CHECK failure.
 //   * The hot path only touches handles: an increment is one null test plus
-//     one add on a pre-resolved slot — no map lookups, no string work, no
+//     one add on a pre-resolved cell — no map lookups, no string work, no
 //     allocation. A handle from a runtime-disabled registry carries a null
-//     slot, so a disabled probe costs exactly the (perfectly predicted)
-//     null test. Compile-time removal is the probe layer's job
+//     cell pointer, so a disabled probe costs exactly the (perfectly
+//     predicted) null test. Compile-time removal is the probe layer's job
 //     (telemetry/probes.hpp, DDPM_TELEMETRY_ENABLED).
 //   * `snapshot()` freezes every series into a MetricsSnapshot, sorted by
-//     key, with deterministic JSON / CSV renderings. Family keys are
-//     emitted already in key order and merged with the sorted named
-//     series, so no sort ever compares a per-switch key. Snapshots of
+//     key, with deterministic JSON / CSV renderings. It orders the records
+//     by head, emits the scalar rows as one sorted run per kind and the
+//     family rows, already in key order, as another, and merges the two
+//     linearly, so no sort ever compares a per-switch key. Snapshots of
 //     independent replications merge in replication order, which keeps
 //     aggregate telemetry bit-identical for any --jobs value.
 //
@@ -30,6 +33,7 @@
 // workers. Nothing in it locks.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -82,9 +86,10 @@ struct MetricsSnapshot {
 
   /// Folds `other` into this snapshot: counters and histogram bins add,
   /// gauge values add and peaks take the max, unknown keys are inserted in
-  /// sorted position. Merging replication snapshots in replication order is
-  /// deterministic by construction. DDPM_SHARD_MERGE: the sanctioned
-  /// crossing for per-replication telemetry.
+  /// sorted position. Two histograms of one key with different bin counts
+  /// are a DDPM_CHECK failure. Merging replication snapshots in
+  /// replication order is deterministic by construction. DDPM_SHARD_MERGE:
+  /// the sanctioned crossing for per-replication telemetry.
   DDPM_SHARD_MERGE void merge(const MetricsSnapshot& other);
 
   /// Stable pretty-printed JSON: {"counters": {...}, "gauges": ...}.
@@ -102,7 +107,7 @@ class Registry;
 class Counter {
  public:
   Counter() = default;
-  /// A handle over one cell: a named counter's slot or a family cell
+  /// A handle over one cell: a named counter's row or a family cell
   /// (`CounterFamily::bind`); null is inert.
   explicit Counter(std::uint64_t* slot) noexcept : slot_(slot) {}
   void inc(std::uint64_t n = 1) noexcept {
@@ -113,27 +118,26 @@ class Counter {
   std::uint64_t* slot_ = nullptr;
 };
 
-/// Last-value-plus-peak sample (queue depth, rate estimate, ...).
+/// Last-value-plus-peak sample (queue depth, rate estimate, ...). Its two
+/// cells hold the bits of the value and of the peak.
 class Gauge {
  public:
   Gauge() = default;
   void set(double v) noexcept {
-    if (slot_ == nullptr) return;
-    slot_->value = v;
-    if (v > slot_->peak) slot_->peak = v;
+    if (cells_ == nullptr) return;
+    cells_[0] = std::bit_cast<std::uint64_t>(v);
+    if (v > std::bit_cast<double>(cells_[1])) {
+      cells_[1] = std::bit_cast<std::uint64_t>(v);
+    }
   }
   void add(double d) noexcept {
-    if (slot_ != nullptr) set(slot_->value + d);
+    if (cells_ != nullptr) set(std::bit_cast<double>(cells_[0]) + d);
   }
 
  private:
   friend class Registry;
-  struct Slot {
-    double value = 0.0;
-    double peak = 0.0;
-  };
-  explicit Gauge(Slot* slot) noexcept : slot_(slot) {}
-  Slot* slot_ = nullptr;
+  explicit Gauge(std::uint64_t* cells) noexcept : cells_(cells) {}
+  std::uint64_t* cells_ = nullptr;
 };
 
 /// Integer histogram in unit bins from 0: bin i counts the samples equal
@@ -163,21 +167,24 @@ class HistogramHandle {
 
 namespace detail {
 
-/// A dense series family: one row of cells per switch id in
-/// [0, switches), switch-major. A counter family's row holds one counter
-/// (`name{switch=S}`) or one per port label (`name{switch=S,port=L}`); a
-/// histogram family's row is one HistogramHandle's cells (`name{switch=S}`).
-/// Only bound rows are exported.
-struct SeriesFamily {
-  std::string name;
-  std::string head;  ///< every key's start: `name{switch=`
-  bool histogram = false;
-  std::uint32_t switches = 0;
-  std::vector<std::string> ports;  ///< empty: labelled by switch alone
-  std::size_t bins = 0;            ///< histogram families
+enum class SeriesKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+/// The registry's one series record: rows of cells, row-major. A row is
+/// one counter (or one per port label), a gauge's value and peak, or a
+/// HistogramHandle's cells. A scalar has one row, bound from the start,
+/// and `head` is its whole key `name{labels}`. A family has one row per
+/// switch id in [0, rows), keyed `name{switch=S}` or
+/// `name{switch=S,port=L}` at snapshot; only bound rows are exported.
+struct Series {
+  SeriesKind kind = SeriesKind::kCounter;
+  bool family = false;
+  std::string head;  ///< a scalar's key; a family's `name{switch=`
+  std::uint32_t rows = 1;
+  std::vector<std::string> ports;  ///< counter families only
+  std::size_t bins = 0;            ///< histograms
   std::size_t width = 0;           ///< cells per row
   std::vector<std::uint64_t> cells;
-  std::vector<bool> bound;
+  std::vector<bool> bound;  ///< per row
   std::size_t bound_rows = 0;
   /// Port indices in the order of their keys' tails (`label}`).
   std::vector<std::size_t> port_order;
@@ -202,9 +209,8 @@ class CounterFamily {
 
  private:
   friend class Registry;
-  explicit CounterFamily(detail::SeriesFamily* family) noexcept
-      : family_(family) {}
-  detail::SeriesFamily* family_ = nullptr;
+  explicit CounterFamily(detail::Series* family) noexcept : family_(family) {}
+  detail::Series* family_ = nullptr;
 };
 
 /// Handle to a dense histogram family (Registry::histogram_family).
@@ -219,16 +225,17 @@ class HistogramFamily {
 
  private:
   friend class Registry;
-  explicit HistogramFamily(detail::SeriesFamily* family) noexcept
+  explicit HistogramFamily(detail::Series* family) noexcept
       : family_(family) {}
-  detail::SeriesFamily* family_ = nullptr;
+  detail::Series* family_ = nullptr;
 };
 
 /// Owns every series. Keys are `name` or `name{labels}` — e.g.
-/// `switch.delivered_local{switch=3}` or `link.tx_packets{switch=3,port=+x}`.
-/// Registering the same key twice returns a handle to the same slot; a
-/// histogram registered again with another bin count is a DDPM_CHECK
-/// failure.
+/// `mark.applied{scheme=ddpm}` or, for a family row,
+/// `link.tx_packets{switch=3,port=+x}`. Registering the same key (or
+/// family name) again with the same kind and shape returns a handle to the
+/// same cells; another kind or shape is a DDPM_CHECK failure. A scalar and
+/// a family of one name are two records.
 class Registry {
  public:
   /// A disabled registry hands out inert handles and produces empty
@@ -257,47 +264,37 @@ class Registry {
   HistogramFamily histogram_family(std::string_view name,
                                    std::uint32_t switches, std::size_t bins);
 
-  /// Number of registered series (a family counts its bound rows' cells).
+  /// Number of registered series (a family counts its bound rows' series).
   std::size_t size() const;
 
   /// Freezes current values, sorted by key. DDPM_DET_SINK: snapshots feed
   /// the deterministic JSON/CSV artifacts, so the freeze path must walk
-  /// the series lists and the name-sorted families, never the unordered
-  /// lookup indexes.
+  /// the record deque and order it by head, never the unordered lookup
+  /// index.
   DDPM_DET_SINK MetricsSnapshot snapshot() const;
 
-  /// Zeroes every slot and family cell; registrations (and outstanding
-  /// handles) survive.
+  /// Zeroes every cell; registrations (and outstanding handles) survive.
   void reset();
 
   static std::string make_key(std::string_view name, std::string_view labels);
 
  private:
-  struct HistogramSlot {
-    std::size_t bins = 0;
-    std::vector<std::uint64_t> cells;  ///< HistogramHandle's layout
-  };
-
-  template <typename SlotT>
-  SlotT* find_or_create(std::deque<std::pair<std::string, SlotT>>& slots,
-                        std::unordered_map<std::string, SlotT*>& index,
-                        std::string key);
-  detail::SeriesFamily* family(std::string_view name, bool histogram,
-                               std::uint32_t switches,
-                               const std::vector<std::string>& ports,
-                               std::size_t bins);
+  /// The record whose head is `head`, created with this kind and shape
+  /// if there is none; DDPM_CHECK-fails if it has another.
+  detail::Series* series(std::string_view head, detail::SeriesKind kind,
+                         bool family, std::uint32_t rows,
+                         const std::vector<std::string>& ports,
+                         std::size_t bins);
+  /// The cells of the scalar `name{labels}`.
+  std::uint64_t* scalar(std::string_view name, std::string_view labels,
+                        detail::SeriesKind kind, std::size_t bins);
 
   bool enabled_;
-  // Deques: slot addresses must stay stable as registration continues.
-  std::deque<std::pair<std::string, std::uint64_t>> counters_;
-  std::deque<std::pair<std::string, Gauge::Slot>> gauges_;
-  std::deque<std::pair<std::string, HistogramSlot>> histograms_;
-  std::unordered_map<std::string, std::uint64_t*> counter_index_;
-  std::unordered_map<std::string, Gauge::Slot*> gauge_index_;
-  std::unordered_map<std::string, HistogramSlot*> histogram_index_;
-  std::deque<detail::SeriesFamily> families_;
-  /// families_ in the order of their keys' heads.
-  std::vector<detail::SeriesFamily*> families_in_key_order_;
+  // A deque: record addresses must stay stable as registration continues.
+  std::deque<detail::Series> series_;
+  /// Each record by its head; the views point into the records.
+  std::unordered_map<std::string_view, detail::Series*> by_head_;
+  std::string head_;  ///< a family head being looked up, reused per bind
 };
 
 }  // namespace ddpm::telemetry

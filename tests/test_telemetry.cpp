@@ -103,11 +103,46 @@ TEST(Registry, DefaultConstructedHandlesAreInert) {
 TEST(Registry, ResetZeroesButKeepsRegistrations) {
   Registry reg;
   Counter c = reg.counter("n");
+  Gauge g = reg.gauge("g");
+  HistogramHandle h = reg.histogram("h", "a=1", 4);
+  HistogramHandle row = reg.histogram_family("depth", 3, 4).bind(2);
   c.inc(7);
+  g.set(9.0);
+  g.set(5.0);
+  h.add(1);
+  h.add(6);
+  row.add(3);
   reg.reset();
-  EXPECT_EQ(reg.snapshot().counter_value("n"), 0u);
-  c.inc();  // outstanding handle still points at the live slot
-  EXPECT_EQ(reg.snapshot().counter_value("n"), 1u);
+  const MetricsSnapshot zeroed = reg.snapshot();
+  EXPECT_EQ(zeroed.series(), 4u);
+  EXPECT_EQ(zeroed.counter_value("n"), 0u);
+  ASSERT_EQ(zeroed.gauges.size(), 1u);
+  EXPECT_EQ(zeroed.gauges[0].value, 0.0);
+  EXPECT_EQ(zeroed.gauges[0].peak, 0.0);
+  ASSERT_EQ(zeroed.histograms.size(), 2u);
+  for (const auto& e : zeroed.histograms) {
+    EXPECT_EQ(e.total, 0u) << e.key;
+    EXPECT_EQ(e.overflow, 0u) << e.key;
+    EXPECT_EQ(e.sum, 0.0) << e.key;
+    EXPECT_EQ(e.bins, (std::vector<std::uint64_t>{0, 0, 0, 0})) << e.key;
+  }
+  // Outstanding handles still point at the live cells.
+  c.inc();
+  g.set(2.0);
+  h.add(2);
+  row.add(1);
+  const MetricsSnapshot after = reg.snapshot();
+  EXPECT_EQ(after.counter_value("n"), 1u);
+  EXPECT_EQ(after.gauges[0].value, 2.0);
+  EXPECT_EQ(after.gauges[0].peak, 2.0);  // not the 9.0 from before reset
+  ASSERT_EQ(after.histograms.size(), 2u);
+  EXPECT_EQ(after.histograms[0].key, "depth{switch=2}");
+  EXPECT_EQ(after.histograms[0].bins,
+            (std::vector<std::uint64_t>{0, 1, 0, 0}));
+  EXPECT_EQ(after.histograms[1].key, "h{a=1}");
+  EXPECT_EQ(after.histograms[1].bins,
+            (std::vector<std::uint64_t>{0, 0, 1, 0}));
+  EXPECT_EQ(after.histograms[1].sum, 2.0);
 }
 
 TEST(Registry, SnapshotSortedByKey) {
@@ -197,8 +232,28 @@ TEST(RegistryDeathTest, HistogramRegisteredAgainWithAnotherShapeIsFatal) {
   reg.histogram("lat", "a=1", 10);
   reg.histogram("lat", "a=1", 10);  // the same shape: the same slot
   EXPECT_DEATH(reg.histogram("lat", "a=1", 20),
-               "'lat.a=1.' registered over .0, 10. in unit bins, again over "
-               ".0, 20. in unit bins");
+               "'lat.a=1.' registered as a histogram over .0, 10. in unit "
+               "bins, again as a histogram over .0, 20. in unit bins");
+}
+
+TEST(RegistryDeathTest, OneKeyRegisteredAgainAsAnotherKindIsFatal) {
+  Registry reg;
+  reg.counter("x");
+  reg.gauge("g", "a=1");
+  reg.histogram("h", {}, 8);
+  EXPECT_DEATH(reg.gauge("x"), "'x' registered as a counter, again as a gauge");
+  EXPECT_DEATH(reg.histogram("x", {}, 8),
+               "'x' registered as a counter, again as a histogram over .0, "
+               "8. in unit bins");
+  EXPECT_DEATH(reg.counter("g", "a=1"),
+               "'g.a=1.' registered as a gauge, again as a counter");
+  EXPECT_DEATH(reg.gauge("h"),
+               "'h' registered as a histogram over .0, 8. in unit bins, "
+               "again as a gauge");
+  // A scalar and a family of one name are two records.
+  reg.counter_family("x", 2).bind(1);
+  reg.histogram_family("g", 2, 4).bind(0);
+  EXPECT_EQ(reg.size(), 5u);
 }
 
 TEST(RegistryDeathTest, FamilyRegisteredAgainWithAnotherShapeIsFatal) {
@@ -222,6 +277,16 @@ TEST(RegistryDeathTest, FamilyRegisteredAgainWithAnotherShapeIsFatal) {
 }
 
 // ---------------------------------------------------------------- snapshot
+
+TEST(SnapshotDeathTest, MergingHistogramsOfAnotherShapeIsFatal) {
+  Registry a, b;
+  a.histogram("h", "a=1", 10).add(1);
+  b.histogram("h", "a=1", 20).add(1);
+  MetricsSnapshot merged = a.snapshot();
+  EXPECT_DEATH(merged.merge(b.snapshot()),
+               "histogram 'h.a=1.' over .0, 10. in unit bins merged with one "
+               "over .0, 20. in unit bins");
+}
 
 TEST(Snapshot, CounterSumPrefix) {
   Registry reg;
