@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -434,7 +436,7 @@ struct Load {
 /// false routes through VirtualOnlyRouter, the virtual reference path.
 std::vector<DeliveryEvidence> run_traced_scenario(
     const char* spec, const char* router_name, bool use_tables,
-    std::string* telemetry_csv = nullptr, int adaptive_vcs = 1,
+    telemetry::MetricsSnapshot* telemetry = nullptr, int adaptive_vcs = 1,
     Load load = {}) {
   const auto topo = topo::make_topology(spec);
   const auto productive = route::make_router(router_name, *topo);
@@ -446,7 +448,7 @@ std::vector<DeliveryEvidence> run_traced_scenario(
   config.adaptive_vcs = adaptive_vcs;
   WormholeNetwork net(*topo, router, &scheme, config);
   telemetry::Registry registry;
-  if (telemetry_csv != nullptr) net.bind_telemetry(&registry);
+  if (telemetry != nullptr) net.bind_telemetry(&registry);
   std::vector<DeliveryEvidence> evidence;
   net.set_delivery_hook([&](pkt::Packet&& p, NodeId at) {
     evidence.push_back(DeliveryEvidence{at, p.true_source, p.hops,
@@ -475,7 +477,7 @@ std::vector<DeliveryEvidence> run_traced_scenario(
   EXPECT_TRUE(net.drain(2000000)) << spec << " " << router_name
                                   << " tables=" << use_tables;
   EXPECT_EQ(evidence.size(), injected);
-  if (telemetry_csv != nullptr) *telemetry_csv = registry.snapshot().to_csv();
+  if (telemetry != nullptr) *telemetry = registry.snapshot();
   return evidence;
 }
 
@@ -491,49 +493,122 @@ std::uint64_t evidence_digest(const std::vector<DeliveryEvidence>& evidence) {
 }
 
 // -- golden digests ----------------------------------------------------------
-// The traced scenario's full delivery evidence and its telemetry CSV (every
-// probe firing, including stall probes on skipped arbitration candidates and
-// buffer-depth histogram samples), fingerprinted and pinned. Any change to
-// cycle semantics — allocation order, same-cycle credit visibility, VC-claim
-// ordering, arbitration — moves a digest. The constants were recorded when
-// two independent engines (an object-graph one and the structure-of-arrays
-// one that replaced it) agreed on all of them, with telemetry on and off. A
-// deliberate semantic change must re-record them (the failure message
-// prints the new values) and say why.
+// The traced scenario's full delivery evidence, fingerprinted and pinned,
+// and its telemetry (every probe firing, including stall probes on skipped
+// arbitration candidates and buffer-depth histogram samples), pinned by
+// value. Any change to cycle semantics — allocation order, same-cycle
+// credit visibility, VC-claim ordering, arbitration — moves them. The
+// delivery digests were recorded when two independent engines (an
+// object-graph one and the structure-of-arrays one that replaced it)
+// agreed on all of them, with telemetry on and off. A deliberate semantic
+// change must re-record them (the failure message prints the new values)
+// and say why.
+
+/// The wormhole's series in a traced cell, by value: its three counters
+/// and its buffer-occupancy histogram.
+struct TelemetryPin {
+  std::uint64_t vc_allocs;
+  std::uint64_t alloc_stalls;
+  std::uint64_t credit_stalls;
+  std::array<std::uint64_t, 32> occupancy;  ///< bins; the rest are 0
+  std::uint64_t overflow;
+  std::uint64_t sum;
+};
+
+/// The series WormholeNetwork::bind_telemetry registers: one per counter
+/// of TelemetryPin and the occupancy histogram, none with the probes
+/// compiled out.
+constexpr std::size_t kWormholeSeries = DDPM_TELEMETRY_ENABLED ? 3 + 1 : 0;
+
+void expect_telemetry(const telemetry::MetricsSnapshot& snap,
+                      [[maybe_unused]] const TelemetryPin& pin,
+                      const std::string& where) {
+  EXPECT_EQ(snap.series(), kWormholeSeries) << where;
+#if DDPM_TELEMETRY_ENABLED
+  ASSERT_EQ(snap.histograms.size(), 1u) << where;
+  const telemetry::MetricsSnapshot::HistogramEntry& h = snap.histograms[0];
+  ASSERT_EQ(h.key, "wormhole.buffer_occupancy") << where;
+  const std::uint64_t got[] = {snap.counter_value("wormhole.vc_allocs"),
+                               snap.counter_value("wormhole.alloc_stalls"),
+                               snap.counter_value("wormhole.credit_stalls"),
+                               h.overflow, std::uint64_t(h.sum)};
+  const std::uint64_t want[] = {pin.vc_allocs, pin.alloc_stalls,
+                                pin.credit_stalls, pin.overflow, pin.sum};
+  const std::vector<std::uint64_t> bins(pin.occupancy.begin(),
+                                        pin.occupancy.end());
+  if (std::equal(got, got + 5, want) && h.bins == bins &&
+      h.sum == double(pin.sum)) {
+    return;
+  }
+  std::ostringstream actual;
+  actual << "{" << got[0] << ", " << got[1] << ", " << got[2] << ", {";
+  std::size_t used = h.bins.size();
+  while (used > 0 && h.bins[used - 1] == 0) --used;
+  for (std::size_t i = 0; i < used; ++i) {
+    actual << (i ? ", " : "") << h.bins[i];
+  }
+  actual << "}, " << got[3] << ", " << h.sum << "}";
+  ADD_FAILURE() << where << ": wormhole telemetry is " << actual.str();
+#endif
+}
 
 struct GoldenDigest {
   const char* spec;
   const char* router;
   bool use_tables;
   std::uint64_t delivery;
-  std::uint64_t telemetry;
+  TelemetryPin telemetry;
 };
 
 constexpr GoldenDigest kGoldenDigests[] = {
-    {"mesh:8x8", "dor", true, 0xe44e7aa65e2fb52eULL, 0x7321153df7bd3954ULL},
+    {"mesh:8x8", "dor", true, 0xe44e7aa65e2fb52eULL,
+     {2034, 1902, 1075,
+      {0, 5160, 1178, 886, 1202, 64, 64, 64,
+       64, 64, 64, 60, 60, 60, 60, 60,
+       52, 52, 52, 52, 52, 45, 45, 45,
+       45, 45, 38, 38, 38, 38, 38, 28},
+      357, 52242}},
     {"mesh:8x8", "adaptive", true, 0xa8bba3846bac15a9ULL,
-     0x84729e4a62e94605ULL},
-    {"torus:4x4", "dor", true, 0x5b5de84e733900e9ULL, 0xd1592a86e33850b2ULL},
+     {2034, 1524, 693,
+      {0, 5410, 1230, 973, 813, 64, 64, 64,
+       64, 64, 64, 60, 60, 60, 60, 60,
+       52, 52, 52, 52, 52, 45, 45, 45,
+       45, 45, 38, 38, 38, 38, 38, 28},
+      357, 51301}},
+    {"torus:4x4", "dor", true, 0x5b5de84e733900e9ULL,
+     {831, 507, 239,
+      {0, 1247, 385, 304, 283, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16},
+      1504, 132451}},
     {"torus:4x4", "adaptive", true, 0xbfd1cf07b5746ddfULL,
-     0xc45225f97f247e79ULL},
+     {831, 265, 138,
+      {0, 1423, 388, 253, 155, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16},
+      1504, 131968}},
     {"torus:4x4", "adaptive", false, 0xbfd1cf07b5746ddfULL,
-     0xc45225f97f247e79ULL},
+     {831, 265, 138,
+      {0, 1423, 388, 253, 155, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16},
+      1504, 131968}},
 };
 
 TEST(Wormhole, GoldenDigestsPinDeliveryAndTelemetry) {
   for (const GoldenDigest& g : kGoldenDigests) {
-    std::string csv;
+    telemetry::MetricsSnapshot snap;
     const auto evidence =
-        run_traced_scenario(g.spec, g.router, g.use_tables, &csv);
+        run_traced_scenario(g.spec, g.router, g.use_tables, &snap);
     const std::string where = std::string(g.spec) + " " + g.router +
                               (g.use_tables ? " tables=1" : " tables=0");
     EXPECT_EQ(evidence_digest(evidence), g.delivery)
         << where << ": delivery digest 0x" << std::hex
         << evidence_digest(evidence);
-#if DDPM_TELEMETRY_ENABLED
-    EXPECT_EQ(fnv1a(csv), g.telemetry)
-        << where << ": telemetry digest 0x" << std::hex << fnv1a(csv);
-#endif
+    expect_telemetry(snap, g.telemetry, where);
   }
 }
 
@@ -549,30 +624,43 @@ struct ArbitrationDigest {
   int adaptive_vcs;
   Load load;
   std::uint64_t delivery;
-  std::uint64_t telemetry;
+  TelemetryPin telemetry;
 };
 
 constexpr ArbitrationDigest kArbitrationDigests[] = {
-    {"torus:4x4", 2, {}, 0xf3e08fe1ed05b209ULL, 0xdcad681075bb9d27ULL},
-    {"hypercube:4", 1, {}, 0x03f5db74c8d61edeULL, 0x2b9fda5dad8f2cb8ULL},
+    {"torus:4x4", 2, {}, 0xf3e08fe1ed05b209ULL,
+     {831, 217, 80,
+      {0, 1520, 372, 215, 112, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16},
+      1504, 131747}},
+    {"hypercube:4", 1, {}, 0x03f5db74c8d61edeULL,
+     {835, 71, 51,
+      {0, 1707, 279, 164, 89, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16,
+       16, 16, 16, 16, 16, 16, 16, 16},
+      1504, 131503}},
     {"torus:8x8", 1, {0.06, 2000, 44}, 0x55806aafd2bd6750ULL,
-     0xc598d47bb46c5f8fULL},
+     {31394, 1340, 112,
+      {0, 92837, 12855, 8112, 7827, 1499, 1124, 729,
+       272, 153, 85, 38, 16, 12, 6, 4,
+       2, 2, 1, 1, 1},
+      0, 198969}},
 };
 
 TEST(Wormhole, GoldenDigestsPinMultiCandidateArbitration) {
   for (const ArbitrationDigest& g : kArbitrationDigests) {
-    std::string csv;
-    const auto evidence = run_traced_scenario(g.spec, "adaptive", true, &csv,
+    telemetry::MetricsSnapshot snap;
+    const auto evidence = run_traced_scenario(g.spec, "adaptive", true, &snap,
                                               g.adaptive_vcs, g.load);
     const std::string where = std::string(g.spec) + " adaptive vcs=" +
                               std::to_string(g.adaptive_vcs);
     EXPECT_EQ(evidence_digest(evidence), g.delivery)
         << where << ": delivery digest 0x" << std::hex
         << evidence_digest(evidence);
-#if DDPM_TELEMETRY_ENABLED
-    EXPECT_EQ(fnv1a(csv), g.telemetry)
-        << where << ": telemetry digest 0x" << std::hex << fnv1a(csv);
-#endif
+    expect_telemetry(snap, g.telemetry, where);
   }
 }
 
