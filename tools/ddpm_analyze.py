@@ -116,7 +116,7 @@ from pathlib import Path
 
 # Bump whenever extraction or the rule passes change meaning: the facts
 # cache (--facts-cache) keys on it, so stale pickles self-invalidate.
-TOOL_VERSION = "8"
+TOOL_VERSION = "9"
 
 RULES = (
     "ordered-iteration",
@@ -221,6 +221,7 @@ HOT_GROWTH_RE = re.compile(
     r"push_front|emplace|insert|append|resize|assign)\s*\(")
 HOT_GROWTH_TYPES = re.compile(r"\b(?:vector|deque|string|basic_string|RingBuffer)\b")
 HOT_RESERVE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*reserve\s*\(")
+QUALIFIED_NAME_RE = re.compile(r"[A-Za-z_]\w*(?:\s*::\s*[A-Za-z_]\w*)*")
 HOT_MEMBER_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
 HOT_LOCK_RES = (
@@ -382,7 +383,7 @@ class Finding:
 @dataclass
 class Facts:
     functions: dict = field(default_factory=dict)     # qname -> FunctionInfo
-    classes: dict = field(default_factory=dict)       # name -> ClassInfo
+    classes: dict = field(default_factory=dict)       # qname -> ClassInfo
     sites: list = field(default_factory=list)         # [Fact]
 
     def merge(self, other: "Facts") -> None:
@@ -526,16 +527,42 @@ def strip_attributes(words: list) -> list:
 
 
 def type_class_name(words: list) -> str:
-    """The simple class name a declared type names: the last identifier
-    before any template argument list, qualifiers and cv/ref dropped
-    (`const ns::Action&` -> `Action`, `std::vector<int>` -> `vector`)."""
+    """The class a declared type names, qualified as spelled: the last
+    name before any template argument list, cv/ref and specifiers dropped
+    (`const ns::Action&` -> `ns::Action`, `std::vector<int>` ->
+    `std::vector`)."""
     if "<" in words:
         words = words[:words.index("<")]
-    names = [w for w in words if re.match(r"[A-Za-z_]\w*$", w)
-             and w not in ("const", "volatile", "typename", "struct",
-                           "class", "mutable", "static", "constexpr",
-                           "inline", "auto")]
-    return names[-1] if names else ""
+    name: list = []
+    prev = ""
+    for w in words:
+        if re.match(r"[A-Za-z_]\w*$", w) and \
+                w not in ("const", "volatile", "typename", "struct", "class",
+                          "mutable", "static", "constexpr", "inline", "auto"):
+            name = name + [w] if prev == "::" else [w]
+        prev = w
+    return "::".join(name)
+
+
+def resolve_class(name: str, scope: str, known) -> list:
+    """The qualified classes in `known` that `name` (as spelled: `B` or
+    `a::B`) may denote inside `scope` (a qualified namespace or class):
+    the first hit walking out from the innermost scope, as C++ name lookup
+    finds it; failing that, every class whose qualified name ends in
+    `name` (a using-directive or a name the frontend cannot follow)."""
+    if not name:
+        return []
+    outer = scope.split("::") if scope else []
+    for k in range(len(outer), -1, -1):
+        q = "::".join(outer[:k] + [name])
+        if q in known:
+            return [q]
+    return [c for c in known if c.endswith("::" + name)]
+
+
+def enclosing_scope(qname: str) -> str:
+    """The namespace or class a function's qualified name sits in."""
+    return qname.rsplit("::", 1)[0] if "::" in qname else ""
 
 
 class TextualUnit:
@@ -551,6 +578,7 @@ class TextualUnit:
         self.toks = tokenize(self.clean)
         self._wrap_lines: set = set()
         self.functions: dict[str, FunctionInfo] = {}
+        # qualified class (namespaces + enclosing classes) -> facts
         self.classes: dict[str, ClassInfo] = {}
         # qualified class (namespaces + enclosing classes) -> name -> type
         self.members: dict[str, dict[str, str]] = {}
@@ -752,15 +780,15 @@ class TextualUnit:
                 # land here; a trailing `(` would mean function-try etc.
                 if path:
                     name = path[-1]
-                    ci = self.classes.setdefault(
-                        name, ClassInfo(name, self.rel,
-                                        head[0].line if head else toks[brace_i].line))
-                    ci.has_bases = ci.has_bases or ":" in rest
                     outer = next((sc.qname for sc in reversed(scopes)
                                   if sc.kind == "class"), None)
                     prefix = [outer] if outer else \
                         [n for n in ns_stack if n != "<anon>"]
                     qname = "::".join(prefix + path)
+                    ci = self.classes.setdefault(
+                        qname, ClassInfo(name, self.rel,
+                                         head[0].line if head else toks[brace_i].line))
+                    ci.has_bases = ci.has_bases or ":" in rest
                     self.members.setdefault(qname, {})
                     default_access = "private" if kw == "class" else "public"
                     return _Scope("class", name, qname=qname,
@@ -801,7 +829,8 @@ class TextualUnit:
                     # flags from the head here.
                     if scopes and scopes[-1].kind == "class":
                         self._class_member_flags(
-                            words, scopes[-1].name, scopes[-1].access)
+                            words, scopes[-1].name, scopes[-1].qname,
+                            scopes[-1].access)
                     fn = FunctionInfo(qname, simple, cls, self.rel,
                                       head[open_paren - 1].line, owner=owner)
                     fn_rec = self.functions.setdefault(qname, fn)
@@ -945,14 +974,16 @@ class TextualUnit:
             if name:
                 store.add((cls, name))
 
-    def _class_member_flags(self, words, cls: str, access: str) -> None:
-        """Updates special-member facts for `cls` from a member head/decl.
+    def _class_member_flags(self, words, cls: str, cls_key: str,
+                            access: str) -> None:
+        """Updates special-member facts for `cls` (qualified: `cls_key`)
+        from a member head/decl.
 
         Called for both `;`-terminated declarations (_handle_statement) and
         inline-bodied definitions (_classify_brace), so virtual methods with
         bodies are seen too.
         """
-        ci = self.classes[cls]
+        ci = self.classes[cls_key]
         if "virtual" in words:
             if "~" in words:
                 ci.has_virtual_dtor = True
@@ -996,7 +1027,7 @@ class TextualUnit:
             cls = scopes[-1].name
             cls_key = scopes[-1].qname
             access = scopes[-1].access
-            self._class_member_flags(words, cls, access)
+            self._class_member_flags(words, cls, cls_key, access)
             self._harvest_annotations(words, cls=cls)
             words = strip_attributes(words)
             # member variable? no parens -> record type
@@ -1412,7 +1443,8 @@ def link_operator_calls(units: list, fns: dict) -> None:
     """Adds a qualified edge `T::operator()` to each function that calls
     `x(...)` where `x` is a local or parameter of that function or a member
     of its class, and `x`'s type names class T, or an alias of it, that
-    defines `operator()`. After `.`/`->` the receiver's class is not
+    defines `operator()`; T is looked up by its qualified name from the
+    scope that declares `x`. After `.`/`->` the receiver's class is not
     resolved, so every class's member named `x` is a candidate: the same
     overapproximation as a virtual call. No call site spells `operator()`,
     so without these edges no call operator (InlineAction's, run by
@@ -1420,26 +1452,32 @@ def link_operator_calls(units: list, fns: dict) -> None:
     call_ops: dict[str, list] = {}
     for fi in fns.values():
         if fi.name == "operator()" and fi.cls:
-            call_ops.setdefault(fi.cls, []).append(fi.qname)
+            call_ops.setdefault(fi.owner, []).append(fi.qname)
     if not call_ops:
         return
     aliases: dict[str, str] = {}
+    known: set = set()
     for u in units:
         aliases.update(u.aliases)
+        known.update(u.classes)
     for u in units:
         for qname, callees in u.var_calls.items():
             fi = fns.get(qname)
             if fi is None:
                 continue
             for name, via_member in callees:
+                # (declaring scope, declared type) of each candidate `x`
                 if via_member:
-                    types = {mm[name] for mm in u.members.values()
+                    types = {(c, mm[name]) for c, mm in u.members.items()
                              if name in mm}
+                elif (qname, name) in u._local_types:
+                    types = {(enclosing_scope(qname),
+                              u._local_types[(qname, name)])}
+                elif name in u.members.get(fi.owner, {}):
+                    types = {(fi.owner, u.members[fi.owner][name])}
                 else:
-                    ty = u._local_types.get((qname, name)) or \
-                        u.members.get(fi.owner, {}).get(name)
-                    types = {ty} if ty else set()
-                for ty in types:
+                    types = set()
+                for scope, ty in types:
                     words = ty.split()
                     if words[-1:] == [name]:  # a member's decl names itself
                         words = words[:-1]
@@ -1448,7 +1486,8 @@ def link_operator_calls(units: list, fns: dict) -> None:
                         if cls not in aliases:
                             break
                         cls = aliases[cls]
-                    fi.calls.update(call_ops.get(cls, ()))
+                    for q in resolve_class(cls, scope, known):
+                        fi.calls.update(call_ops.get(q, ()))
 
 
 def forward_closure(fns: dict, seeds) -> set:
@@ -1490,9 +1529,11 @@ def hot_pass_sites(units: list) -> list:
     DDPM_HOT_STATE record has a DDPM_HOT_LAYOUT pin (whose numbers the
     pin's static_assert checks on every build)."""
     reach = hot_closure(units)
+    known: set = set()
     virt: set = set()
     for u in units:
         for cname, ci_rec in u.classes.items():
+            known.add(cname)
             if ci_rec.declares_virtual:
                 virt.add(cname)
     sites: list[Fact] = []
@@ -1544,8 +1585,12 @@ def hot_pass_sites(units: list) -> list:
                     t = recv_type(recv, qname)
                     if not t:
                         continue
-                    hit = next((w for w in re.findall(r"[A-Za-z_]\w*", t)
-                                if w in virt), None)
+                    scope = enclosing_scope(qname)
+                    names = (re.sub(r"\s+", "", w)
+                             for w in QUALIFIED_NAME_RE.findall(t))
+                    hit = next((w.rsplit("::", 1)[-1] for w in names
+                                if any(c in virt for c in
+                                       resolve_class(w, scope, known))), None)
                     if hit:
                         emit("hot-no-virtual", n, qname,
                              f"{recv}->{meth}() dispatches through "
